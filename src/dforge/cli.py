@@ -93,6 +93,12 @@ def cmd_tate(args, out):
 def cmd_reduce(args, out):
     with open(args.input) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError("reduce input must be a JSON object")
+    missing = [k for k in ("q", "f", "N", "phi") if k not in doc]
+    if missing:
+        raise ConfigError("reduce input lacks required key(s): %s"
+                          % ", ".join(missing))
     p, e = _parse_q(doc["q"])
     m = int(doc.get("m", "1"))
     field = field_make(p, e, m)

@@ -1,10 +1,12 @@
 """Matrix groups over A/fA and the cusp/component census.
 
-Everything is plain enumeration at desk scale: GL_2(A/fA) as a list of
-2x2 tuples, the subgroups N (upper triangular, top-left entry in F_q^*),
-H (upper triangular), Sigma (determinant in F_q^*) and SL_2, coset
-representatives of N\\GL_2 normalized into SL_2, double cosets
-N\\GL_2/H, and the census numbers
+The groups are enumerated at desk scale: GL_2(A/fA) as a list of 2x2
+tuples, the subgroups N (upper triangular, top-left entry in F_q^*),
+H (upper triangular), Sigma (determinant in F_q^*) and SL_2, and coset
+representatives of N\\GL_2 normalized into SL_2.  The double cosets
+N\\GL_2/H are computed on the quotient GL_2/H, as the N-orbits of the
+cosets gH: |G| products to split G into cosets, then |N| products per
+double coset (see ``double_cosets``).  The census numbers are
 
     cusp_count       = h * |SL_2| / (Q (q-1))     (copies of M^1(f))
     component_count  = h * [(A/fA)^* : F_q^*]
@@ -165,24 +167,36 @@ def locate_coset(R, sigma, reps, sub):
 
 
 def double_cosets(R, group, left, right):
-    """Partition of ``group`` into double cosets left\\group/right."""
+    """Partition of ``group`` into double cosets left\\group/right, for
+    subgroups ``left`` and ``right`` of ``group``.
+
+    Works on the quotient group/right.  One pass splits ``group`` into
+    the cosets g*right (|G| products) and maps each key to its coset.
+    The double coset left*g*right is the union of the cosets n*g*right,
+    n in ``left``; as ``left`` is a group, the images of one
+    representative already give its whole orbit on group/right, so each
+    class costs |left| products: |G| + #classes * |left| in all.
+    Returns the classes as sets of keys, ordered by least key.
+    """
     M = MatrixRing(R)
-    remaining = {M.key(g): g for g in group}
+    coset_of = {}
+    cosets = []
+    for g in group:
+        if M.key(g) in coset_of:
+            continue
+        block = {M.key(M.mul(g, h)) for h in right}
+        for k in block:
+            coset_of[k] = len(cosets)
+        cosets.append((g, block))
     classes = []
-    while remaining:
-        k = min(remaining)
-        g = remaining.pop(k)
-        block = {k}
-        for n in left:
-            ng = M.mul(n, g)
-            for h in right:
-                x = M.mul(ng, h)
-                xk = M.key(x)
-                if xk in remaining:
-                    del remaining[xk]
-                    block.add(xk)
-        classes.append(block)
-    return classes
+    done = set()
+    for i, (g, _) in enumerate(cosets):
+        if i in done:
+            continue
+        orbit = {coset_of[M.key(M.mul(n, g))] for n in left}
+        done |= orbit
+        classes.append(set().union(*(cosets[j][1] for j in orbit)))
+    return sorted(classes, key=min)
 
 
 # -- closed-form orders ---------------------------------------------------
@@ -217,6 +231,8 @@ def census(K, f, h=1, enumerate_groups=None):
     Q = q^deg(f) is within the bound (or when ``enumerate_groups`` is
     True); the x0 cusp count requires enumeration.
     """
+    if h < 1:
+        raise ValueError("h must be a positive integer, got %d" % h)
     A = PolyRing(K)
     f = A.monic(trim(f))
     if A.deg(f) < 1:

@@ -78,7 +78,13 @@ def ser_series_field(s):
 
 
 def parse_series_field(doc, field):
-    return parse_series(doc, field, lambda c: int(c))
+    def coeff(c):
+        i = int(c)
+        if not 0 <= i < field.size:
+            raise ValueError("field element %s is not an index in 0..%d"
+                             % (c, field.size - 1))
+        return i
+    return parse_series(doc, field, coeff)
 
 
 def dumps_line(doc):

@@ -42,6 +42,14 @@ def test_census_malformed_f():
     assert code == 2
 
 
+def test_census_h_below_one(capsys):
+    for h in ("0", "-2"):
+        code, out = run_cli("census", "--q", "3", "--f", "0,1", "--h", h)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_tate_document_and_roundtrip():
     code, out = run_cli("tate", "--q", "3", "--f", "0,1", "--N", "9")
     assert code == 0
@@ -123,6 +131,41 @@ def test_reduce_truncated_too_short(tmp_path):
     p.write_text(json.dumps(doc))
     code, _ = run_cli("reduce", str(p))
     assert code == 3
+
+
+def _reduce_doc():
+    F9 = field_make(3, 1, 2)
+    return {
+        "q": "3", "m": "2", "f": ["0", "1"], "N": "8",
+        "phi": [serialize.ser_series_field(Series(F9, 0, (c,), 8))
+                for c in (4, 1, 1)],
+    }
+
+
+def test_reduce_missing_key(tmp_path, capsys):
+    for key in ("q", "f", "N", "phi"):
+        doc = _reduce_doc()
+        del doc[key]
+        p = tmp_path / ("no_%s.json" % key)
+        p.write_text(json.dumps(doc))
+        code, out = run_cli("reduce", str(p))
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert key in err and err.count("\n") == 1
+    p = tmp_path / "list.json"
+    p.write_text("[]")
+    assert run_cli("reduce", str(p)) == (2, "")
+
+
+def test_reduce_field_index_out_of_range(tmp_path, capsys):
+    doc = _reduce_doc()
+    doc["phi"][1]["coeffs"] = ["99"]  # F_9 has indices 0..8
+    p = tmp_path / "index99.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_cli("reduce", str(p))
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "99" in err and err.count("\n") == 1
 
 
 def test_selftest_passes_and_is_deterministic():

@@ -113,15 +113,53 @@ def test_coset_count_T2(A):
     assert len(reps) == 36
 
 
-def test_double_cosets_partition(R_T, G_T):
-    N, H = subgroups(R_T, G_T)[:2]
-    blocks = double_cosets(R_T, G_T, N, H)
-    assert len(blocks) == 2
+def double_cosets_oracle(R, group, left, right):
+    """Reference partition: every product n*g*h for each class."""
+    M = MatrixRing(R)
+    remaining = {M.key(g): g for g in group}
+    classes = []
+    while remaining:
+        k = min(remaining)
+        g = remaining.pop(k)
+        block = {k}
+        for n in left:
+            ng = M.mul(n, g)
+            for h in right:
+                xk = M.key(M.mul(ng, h))
+                if xk in remaining:
+                    del remaining[xk]
+                    block.add(xk)
+        classes.append(block)
+    return classes
+
+
+# (id, (p, e) with q = p^e, f little-endian, swap N and H): all Q <= 9
+DOUBLE_COSET_CASES = [
+    ("q3-T", (3, 1), (0, 1), False),
+    ("q2-T^2", (2, 1), (0, 0, 1), False),
+    ("q3-T^2+1", (3, 1), (1, 0, 1), False),
+    ("q2-T^2+T", (2, 1), (0, 1, 1), False),
+    ("q4-T", (2, 2), (0, 1), False),
+    ("q5-T", (5, 1), (0, 1), False),
+    ("q2-T^3+T+1", (2, 1), (1, 1, 0, 1), False),
+    ("q3-T^2-swapped", (3, 1), (0, 0, 1), True),
+]
+
+
+@pytest.mark.parametrize("pe,f,swap", [c[1:] for c in DOUBLE_COSET_CASES],
+                         ids=[c[0] for c in DOUBLE_COSET_CASES])
+def test_double_cosets_partition(pe, f, swap):
+    R = ResidueRing(PolyRing(field_make(pe[0], pe[1], 1)), f)
+    G = gl2_enum(R)
+    N, H = subgroups(R, G)[:2]
+    left, right = (H, N) if swap else (N, H)
+    blocks = double_cosets(R, G, left, right)
+    assert blocks == double_cosets_oracle(R, G, left, right)
     total = set()
     for b in blocks:
         assert not (b & total)
         total |= b
-    assert len(total) == len(G_T)
+    assert len(total) == len(G)
 
 
 def test_census_acceptance_values(F3, A):
@@ -151,6 +189,9 @@ def test_census_formula_identity_q23(A):
 def test_census_h_parameter(F3, A):
     rep = census(F3, A.gen(), h=2)
     assert rep["cusp_count"] == 8 and rep["component_count"] == 2
+    for h in (0, -2):
+        with pytest.raises(ValueError):
+            census(F3, A.gen(), h=h)
 
 
 def test_enum_bound(A):
