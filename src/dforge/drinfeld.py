@@ -305,6 +305,12 @@ class CyclotomicRing:
     basis).  The subring fixed by lam -> c*lam (c in F_q^*) is the base
     ring the rank-1 moduli actually live over; membership is simply
     'coordinates vanish outside indices divisible by q-1'.
+
+    Products are formed on one common denominator: each operand is
+    lifted to numerators over A on a single power f^K, the numerators
+    are convolved and reduced in A[lam], and each coordinate is
+    normalised once.  Phi_f is monic with coefficients in A, so the
+    table of lam^j mod Phi_f lives over A and needs no denominators.
     """
 
     def __init__(self, K, f):
@@ -316,35 +322,58 @@ class CyclotomicRing:
         self.Af = LocalizedRing(A, f)
         self.q = A.q
         self.char = K.char
-        phi_raw = carlitz_cyclotomic(A, f)
-        self.d = len(phi_raw) - 1
-        Af = self.Af
-        self.phi_f_vec = [Af.from_poly(c) for c in phi_raw]
-        self._lampow = {}  # lam^j reduced mod Phi_f, extended on demand
+        self.phi_f = carlitz_cyclotomic(A, f)
+        self.d = len(self.phi_f) - 1
+        self._lampow = []  # lam^j mod Phi_f over A, extended on demand
+
+    def _lam_row(self, j):
+        """lam^j mod Phi_f as a length-d tuple over A, cached."""
+        rows = self._lampow
+        A, d = self.A, self.d
+        while len(rows) <= j:
+            k = len(rows)
+            if k < d:
+                rows.append(tuple(A.one() if i == k else A.zero()
+                                  for i in range(d)))
+                continue
+            prev = rows[-1]
+            top = prev[-1]
+            vec = [A.zero()] + list(prev[:-1])
+            if top:
+                for i, c in enumerate(self.phi_f[:d]):
+                    if c:
+                        vec[i] = A.sub(vec[i], A.mul(top, c))
+            rows.append(tuple(vec))
+        return rows[j]
 
     def reduce_power(self, j):
-        """lam^j as a lam-power-basis vector, cached."""
-        Af = self.Af
-        d = self.d
-        if j < d:
-            v = [Af.zero()] * d
-            v[j] = Af.one()
-            return v
-        top_known = max(self._lampow) if self._lampow else d - 1
-        for k in range(top_known + 1, j + 1):
-            if k == d:
-                vec = [Af.neg(self.phi_f_vec[i]) for i in range(d)]
-            else:
-                prev = self._lampow[k - 1] if k - 1 >= d else \
-                    self.reduce_power(k - 1)
-                vec = [Af.zero()] + list(prev[:-1])
-                top = prev[-1]
-                if top != Af.zero():
-                    for i in range(d):
-                        vec[i] = Af.sub(vec[i],
-                                        Af.mul(top, self.phi_f_vec[i]))
-            self._lampow[k] = vec
-        return list(self._lampow[j])
+        """lam^j as a lam-power-basis vector over A_f."""
+        return [self.Af.from_poly(c) for c in self._lam_row(j)]
+
+    def _lift(self, a):
+        """(nums, K) with a = sum_i nums[i] lam^i / f^K, nums over A."""
+        K = max(k for _, k in a)
+        if K == 0:
+            return [n for n, _ in a], 0
+        A, fpow = self.A, self.Af.fpow
+        return [n if k == K else A.mul(n, fpow(K - k)) for n, k in a], K
+
+    def _fold(self, conv, k):
+        """The element sum_j conv[j] lam^j / f^k, conv over A: reduce
+        mod Phi_f in A[lam], then normalise each coordinate once."""
+        A, d = self.A, self.d
+        out = list(conv[:d]) + [A.zero()] * (d - len(conv))
+        for j in range(d, len(conv)):
+            c = conv[j]
+            if c:
+                for i, r in enumerate(self._lam_row(j)):
+                    if r:
+                        out[i] = A.add(out[i], A.mul(c, r))
+        if k == 0:
+            zero = self.Af.zero()
+            return tuple((n, 0) if n else zero for n in out)
+        normalize = self.Af.normalize
+        return tuple(normalize(n, k) for n in out)
 
     def zero(self):
         return (self.Af.zero(),) * self.d
@@ -379,24 +408,17 @@ class CyclotomicRing:
         return tuple(self.Af.sub(x, y) for x, y in zip(a, b))
 
     def mul(self, a, b):
-        Af = self.Af
-        d = self.d
-        conv = [Af.zero()] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x == Af.zero():
+        A = self.A
+        na, ka = self._lift(a)
+        nb, kb = self._lift(b)
+        conv = [A.zero()] * (2 * self.d - 1)
+        for i, x in enumerate(na):
+            if not x:
                 continue
-            for j, y in enumerate(b):
-                if y == Af.zero():
-                    continue
-                conv[i + j] = Af.add(conv[i + j], Af.mul(x, y))
-        out = list(conv[:d])
-        for j in range(d, 2 * d - 1):
-            c = conv[j]
-            if c != Af.zero():
-                red = self.reduce_power(j)
-                for i in range(d):
-                    out[i] = Af.add(out[i], Af.mul(c, red[i]))
-        return tuple(out)
+            for j, y in enumerate(nb):
+                if y:
+                    conv[i + j] = A.add(conv[i + j], A.mul(x, y))
+        return self._fold(conv, ka + kb)
 
     def pow(self, a, n):
         r = self.one()
@@ -408,17 +430,15 @@ class CyclotomicRing:
         return r
 
     def qpow(self, a, k=1):
-        Af = self.Af
+        """a^(q^k): Frobenius is additive, so lam^i / f^K goes to
+        lam^(q i) / f^(q K) with q-th power numerators."""
+        A, q = self.A, self.q
         for _ in range(k):
-            out = [Af.zero()] * self.d
-            for i, c in enumerate(a):
-                if c == Af.zero():
-                    continue
-                cq = Af.qpow(c, 1)
-                red = self.reduce_power(self.q * i)
-                for t in range(self.d):
-                    out[t] = Af.add(out[t], Af.mul(cq, red[t]))
-            a = tuple(out)
+            nums, K = self._lift(a)
+            conv = [A.zero()] * (q * (self.d - 1) + 1)
+            for i, n in enumerate(nums):
+                conv[q * i] = A.qpow(n, 1)
+            a = self._fold(conv, q * K)
         return a
 
     def _ff(self):
@@ -426,18 +446,16 @@ class CyclotomicRing:
 
     def _af_to_ff(self, a):
         num, k = a
-        return (num, self.A.pow(self.f, k)) if num else ((), (1,))
+        return (num, self.Af.fpow(k)) if num else ((), (1,))
 
     def _ff_to_af(self, x):
         num, den = x
         if not num:
             return self.Af.zero()
-        fe = self.A.one()
         for e in range(self.A.deg(den) + 1):
-            b, r = self.A.divmod(fe, den)
+            b, r = self.A.divmod(self.Af.fpow(e), den)
             if r == ():
                 return self.Af.make(self.A.mul(num, b), e)
-            fe = self.A.mul(fe, self.f)
         raise ZeroDivisionError("element does not lie in A_f")
 
     def is_unit(self, a):
@@ -476,32 +494,29 @@ class CyclotomicRing:
     def galois(self, a_res):
         """The automorphism lam -> C_{a}(lam) for a unit residue a_res;
         returns a callable on ring elements."""
-        C = carlitz_module(self.A)
-        img = C.image(trim(a_res))
-        lam_img = [self.Af.zero()] * self.d
-        # evaluate sum c_i lam^(q^i) inside R'
+        A, d = self.A, self.d
+        img = carlitz_module(A).image(trim(a_res))
+        # C_a(lam) = sum c_i lam^(q^i) with every c_i in A
+        conv = [A.zero()] * (self.q ** len(img.coeffs))
         for i, c in enumerate(img.coeffs):
-            if c == self.A.zero():
-                continue
-            red = self.reduce_power(self.q ** i)
-            cf = self.Af.from_poly(c)
-            for t in range(self.d):
-                lam_img[t] = self.Af.add(lam_img[t],
-                                         self.Af.mul(cf, red[t]))
-        lam_img = tuple(lam_img)
+            conv[self.q ** i] = c
+        lam_img = self._fold(conv, 0)
         powers = [self.one()]
-        for _ in range(self.d - 1):
+        for _ in range(d - 1):
             powers.append(self.mul(powers[-1], lam_img))
+        # the powers of lam_img lie over A (every f-exponent is 0)
+        rows = [[n for n, _ in p] for p in powers]
 
         def apply(z):
-            out = [self.Af.zero()] * self.d
-            for i, c in enumerate(z):
-                if c == self.Af.zero():
+            nums, K = self._lift(z)
+            out = [A.zero()] * d
+            for n, row in zip(nums, rows):
+                if not n:
                     continue
-                for t in range(self.d):
-                    out[t] = self.Af.add(out[t],
-                                         self.Af.mul(c, powers[i][t]))
-            return tuple(out)
+                for t, r in enumerate(row):
+                    if r:
+                        out[t] = A.add(out[t], A.mul(n, r))
+            return self._fold(out, K)
 
         return apply
 

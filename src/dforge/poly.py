@@ -430,7 +430,16 @@ def residue_units(A, f):
 
 
 class LocalizedRing:
-    """A_f = A[1/f]; elements are (num, k) = num / f^k with k minimal."""
+    """A_f = A[1/f]; elements are (num, k) = num / f^k with k minimal.
+
+    Canonical form: zero is ((), 0), and when k > 0, f does not divide
+    num.  (For composite f this is weaker than coprime: over f = T^2 the
+    numerator T is allowed with k > 0.)  Hence a sum num_a / f^ka +
+    num_b / f^kb with ka > kb is canonical as it stands, since its
+    numerator num_a + f^(ka-kb) num_b is again not divisible by f;
+    ``add`` skips the normalisation there.  Powers of f come from one
+    table, ``fpow``, extended on demand.
+    """
 
     def __init__(self, A, f):
         f = trim(f)
@@ -441,6 +450,14 @@ class LocalizedRing:
         self.f = A.monic(f)
         self.q = A.q
         self.char = A.char
+        self._fpows = [A.one(), self.f]
+
+    def fpow(self, e):
+        """f^e, from the cached table of powers of f."""
+        pows = self._fpows
+        while len(pows) <= e:
+            pows.append(self.A.mul(pows[-1], self.f))
+        return pows[e]
 
     def normalize(self, num, k):
         num = trim(num)
@@ -452,7 +469,7 @@ class LocalizedRing:
                 break
             num, k = q, k - 1
         if k < 0:
-            num = self.A.mul(num, self.A.pow(self.f, -k))
+            num = self.A.mul(num, self.fpow(-k))
             k = 0
         return (num, k)
 
@@ -476,10 +493,14 @@ class LocalizedRing:
 
     def add(self, a, b):
         (na, ka), (nb, kb) = a, b
-        k = max(ka, kb)
-        na = self.A.mul(na, self.A.pow(self.f, k - ka))
-        nb = self.A.mul(nb, self.A.pow(self.f, k - kb))
-        return self.normalize(self.A.add(na, nb), k)
+        A = self.A
+        if ka == kb:
+            num = A.add(na, nb)
+            return self.normalize(num, ka) if ka or not num else (num, 0)
+        if ka < kb:
+            na, ka, nb, kb = nb, kb, na, ka
+        # f does not divide na (canonical, ka > 0), so neither does the sum
+        return (A.add(na, A.mul(nb, self.fpow(ka - kb))), ka)
 
     def neg(self, a):
         return (self.A.neg(a[0]), a[1])
@@ -488,7 +509,9 @@ class LocalizedRing:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        return self.normalize(self.A.mul(a[0], b[0]), a[1] + b[1])
+        k = a[1] + b[1]
+        num = self.A.mul(a[0], b[0])
+        return self.normalize(num, k) if k or not num else (num, 0)
 
     def pow(self, a, n):
         r = self.one()
@@ -519,13 +542,10 @@ class LocalizedRing:
             raise ZeroDivisionError("inverse of zero in A_f")
         # a unit of A_f has num | f^e for some e <= deg(num); then
         # f^e = b * num gives 1/(num/f^k) = b * f^k / f^e.
-        fe = self.A.one()
         for e in range(self.A.deg(num) + 1):
-            b, r = self.A.divmod(fe, num)
+            b, r = self.A.divmod(self.fpow(e), num)
             if r == ():
-                return self.normalize(
-                    self.A.mul(b, self.A.pow(self.f, k)), e)
-            fe = self.A.mul(fe, self.f)
+                return self.normalize(self.A.mul(b, self.fpow(k)), e)
         raise ZeroDivisionError("non-unit of A_f")
 
     def eq(self, a, b):

@@ -19,11 +19,10 @@ coefficientwise.
 from fractions import Fraction
 
 from .poly import trim
-from .series import Series, PrecisionError
+from .series import Series, PrecisionError, SLACK_BUDGET
 from .skew import SkewPoly, skew_kernel
 from .drinfeld import DrinfeldModule
 
-SLACK_BUDGET = 4
 TAU_DEGREE_CAP = 12
 
 

@@ -60,6 +60,12 @@ def ser_series(s, coeff_ser):
 
 
 def parse_series(doc, dom, coeff_parse):
+    if not isinstance(doc, dict):
+        raise ValueError("a series must be a JSON object")
+    missing = [k for k in ("low", "prec", "coeffs") if k not in doc]
+    if missing:
+        raise ValueError("series lacks required key(s): %s"
+                         % ", ".join(missing))
     prec = None if doc["prec"] is None else int(doc["prec"])
     return Series(dom, int(doc["low"]),
                   [coeff_parse(c) for c in doc["coeffs"]], prec)

@@ -14,6 +14,11 @@ the q-power map on series is the coefficientwise q-power composed with
 exponent scaling, which costs nothing in precision.
 """
 
+# x-adic coefficients kept as slack between a working precision and what
+# is checked or reported at it (the Tate working precision, the h_sigma
+# window, the lattice check after stable reduction).
+SLACK_BUDGET = 4
+
 
 class PrecisionError(ArithmeticError):
     """A computation needed a coefficient beyond the stored precision."""

@@ -21,11 +21,10 @@ congruent to 1.
 """
 
 from .poly import ResidueRing, trim
-from .series import Series, LaurentDomain, PrecisionError
+from .series import Series, LaurentDomain, PrecisionError, SLACK_BUDGET
 from .skew import SkewPoly
 from .drinfeld import DrinfeldModule, LevelStructure
 
-SLACK_BUDGET = 4
 SHELL_CAP = 16
 
 

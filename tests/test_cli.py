@@ -1,6 +1,9 @@
+import hashlib
 import io
 import json
 import os
+
+import pytest
 
 from dforge import cli
 from dforge import serialize
@@ -166,6 +169,47 @@ def test_reduce_field_index_out_of_range(tmp_path, capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert "99" in err and err.count("\n") == 1
+
+
+def test_reduce_series_missing_key(tmp_path, capsys):
+    for key in ("low", "prec", "coeffs"):
+        doc = _reduce_doc()
+        del doc["phi"][1][key]
+        p = tmp_path / ("series_no_%s.json" % key)
+        p.write_text(json.dumps(doc))
+        code, out = run_cli("reduce", str(p))
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert key in err and err.count("\n") == 1
+    doc = _reduce_doc()
+    doc["phi"][1] = "1"
+    p = tmp_path / "series_not_object.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("reduce", str(p)) == (2, "")
+
+
+# sha256 of the whole stdout of `tate`, recorded before R' products moved
+# onto one common f-power denominator; the output must not move with it.
+TATE_GOLDEN = [
+    ("2", "0,1", "12",
+     "70df92fbd81a3c7fc603538657eea9040f16b0e0155b589cde546c12d0e4770a"),
+    ("5", "1,1", "6",
+     "1c8bb478c681457a32687748a36c9c4992c6382c41ce167c0a1f949d4e3c5b2e"),
+    ("3", "0,1", "27",
+     "d978c243e0a91e135bc05ecdaad2a6738a43a6c2227419205c0457d5db0c70b5"),
+    ("2", "0,1,1", "8",
+     "39315c53d69f2fe98ef0c0c2b4e199990757feb070f04f4dec3ef3a5808331e2"),
+    ("3", "2,0,1", "9",
+     "6ce2d70867d5d98416ac5ca5074e6665b50798df21df1520056cd3f39750e2c1"),
+]
+
+
+@pytest.mark.parametrize("q,f,N,digest", TATE_GOLDEN,
+                         ids=["q%s-f%s-N%s" % c[:3] for c in TATE_GOLDEN])
+def test_tate_golden_stdout(q, f, N, digest):
+    code, out = run_cli("tate", "--q", q, "--f", f, "--N", N)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_selftest_passes_and_is_deterministic():

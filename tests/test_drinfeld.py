@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dforge.fields import field_make
-from dforge.poly import PolyRing, residue_units
+from dforge.poly import PolyRing, ResidueRing, residue_units
 from dforge.drinfeld import (DrinfeldModule, dm_make, dm_image, dm_twist,
                              dm_torsion, level_make, torsion_basis,
                              carlitz_module, carlitz_cyclotomic,
@@ -215,3 +215,99 @@ def test_galois_action(F3, A):
     for _ in range(50):
         a, b = R.rand(rng), R.rand(rng)
         assert g2(R.mul(a, b)) == R.mul(g2(a), g2(b))
+
+
+# -- the common-denominator kernel of R' against per-coordinate A_f ------
+
+
+def cyclotomic_mul_oracle(R, a, b):
+    """a*b in R' by convolution over A_f, one A_f operation per term."""
+    Af, d = R.Af, R.d
+    conv = [Af.zero()] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x == Af.zero():
+            continue
+        for j, y in enumerate(b):
+            if y == Af.zero():
+                continue
+            conv[i + j] = Af.add(conv[i + j], Af.mul(x, y))
+    out = list(conv[:d])
+    for j in range(d, 2 * d - 1):
+        c = conv[j]
+        if c != Af.zero():
+            red = R.reduce_power(j)
+            for i in range(d):
+                out[i] = Af.add(out[i], Af.mul(c, red[i]))
+    return tuple(out)
+
+
+def cyclotomic_qpow_oracle(R, a):
+    """a^q in R' coordinate by coordinate over A_f."""
+    Af = R.Af
+    out = [Af.zero()] * R.d
+    for i, c in enumerate(a):
+        if c == Af.zero():
+            continue
+        cq = Af.qpow(c, 1)
+        red = R.reduce_power(R.q * i)
+        for t in range(R.d):
+            out[t] = Af.add(out[t], Af.mul(cq, red[t]))
+    return tuple(out)
+
+
+def cyclotomic_galois_oracle(R, a_res, z):
+    """lam -> C_a(lam) applied to z, coordinate by coordinate over A_f."""
+    Af = R.Af
+    img = carlitz_module(R.A).image(a_res)
+    lam_img = [Af.zero()] * R.d
+    for i, c in enumerate(img.coeffs):
+        red = R.reduce_power(R.q ** i)
+        for t in range(R.d):
+            lam_img[t] = Af.add(lam_img[t], Af.mul(Af.from_poly(c), red[t]))
+    powers = [R.one()]
+    for _ in range(R.d - 1):
+        powers.append(cyclotomic_mul_oracle(R, powers[-1], tuple(lam_img)))
+    out = [Af.zero()] * R.d
+    for i, c in enumerate(z):
+        for t in range(R.d):
+            out[t] = Af.add(out[t], Af.mul(c, powers[i][t]))
+    return tuple(out)
+
+
+KERNEL_CASES = [(2, (0, 1)), (3, (1, 1)), (5, (0, 1)), (2, (0, 1, 1)),
+                (3, (0, 0, 1)), (3, (1, 0, 1))]
+KERNEL_IDS = ["q2-T", "q3-T+1", "q5-T", "q2-T^2+T", "q3-T^2", "q3-T^2+1"]
+
+
+def _mixed_element(R, rng):
+    """A random element of R' with zero coordinates and f-powers 0..4.
+    Numerators often carry a prime factor of f, so that over f = T^2 or
+    T^2+T two numerators not divisible by f can have a product that is."""
+    A, Af = R.A, R.Af
+    primes = [p for p, _ in A.factor(R.f)]
+    out = []
+    for _ in range(R.d):
+        if rng.random() < 0.3:
+            out.append(Af.zero())
+            continue
+        num = A.rand(rng, rng.randrange(4))
+        if rng.random() < 0.5:
+            num = A.mul(num, rng.choice(primes))
+        out.append(Af.make(num, rng.randrange(5)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q,f", KERNEL_CASES, ids=KERNEL_IDS)
+def test_cyclotomic_kernel_matches_oracle(q, f):
+    R = rank1_universal(field_make(q, 1, 1), f).ring
+    rng = random.Random(1000 * q + len(f))
+    for _ in range(40):
+        a, b = _mixed_element(R, rng), _mixed_element(R, rng)
+        assert R.mul(a, b) == cyclotomic_mul_oracle(R, a, b)
+        assert R.qpow(a) == cyclotomic_qpow_oracle(R, a)
+    assert R.mul(R.zero(), _mixed_element(R, rng)) == R.zero()
+    for a_res in ResidueRing(R.A, R.f).units()[:4]:
+        g = R.galois(a_res)
+        for _ in range(5):
+            z = _mixed_element(R, rng)
+            assert g(z) == cyclotomic_galois_oracle(R, a_res, z)

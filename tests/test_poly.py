@@ -115,6 +115,35 @@ def test_localized_ring(A):
                                                  Af.mul(a, c))
 
 
+@pytest.mark.parametrize("q,f", [(2, (0, 0, 1)), (3, (0, 0, 1)),
+                                 (2, (0, 1, 1)), (3, (0, 1, 1))],
+                         ids=["q2-T^2", "q3-T^2", "q2-T^2+T", "q3-T^2+T"])
+def test_localized_shortcuts_equal_naive(q, f):
+    """add and mul skip work on canonical inputs; each must return
+    exactly normalize of the naive sum or product over f^max / f^(ka+kb).
+    Numerators carry a prime factor of f half of the time, so sums and
+    products that are divisible by f come up."""
+    A = PolyRing(field_make(q, 1, 1))
+    Af = LocalizedRing(A, f)
+    primes = [p for p, _ in A.factor(f)]
+    rng = random.Random(q * 100 + len(f))
+
+    def elem():
+        num = A.rand(rng, rng.randrange(4))
+        if rng.random() < 0.5:
+            num = A.mul(num, rng.choice(primes))
+        return Af.make(num, rng.randrange(4))
+
+    for _ in range(500):
+        (na, ka), (nb, kb) = a, b = elem(), elem()
+        k = max(ka, kb)
+        naive_sum = A.add(A.mul(na, A.pow(Af.f, k - ka)),
+                          A.mul(nb, A.pow(Af.f, k - kb)))
+        assert Af.add(a, b) == Af.normalize(naive_sum, k)
+        assert Af.mul(a, b) == Af.normalize(A.mul(na, nb), ka + kb)
+        assert Af.fpow(k) == A.pow(Af.f, k)
+
+
 def test_function_field(A):
     FF = FunctionField(A)
     rng = random.Random(11)
