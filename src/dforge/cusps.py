@@ -135,22 +135,24 @@ def coset_reps(R, group=None, sub=None):
     one = R.one()
     remaining = {M.key(g): g for g in group}
     ident = M.identity()
+    ident_key = M.key(ident)
     reps = []
-    queue = [ident] + [g for g in group if M.key(g) != M.key(ident)]
-    for g in queue:
-        if M.key(g) not in remaining:
+    # each element is keyed once here and once as a member of its coset
+    for k in [ident_key] + [k for k in remaining if k != ident_key]:
+        g = remaining.get(k)
+        if g is None:
             continue
-        coset = [M.mul(n, g) for n in sub]
-        best = None
-        for x in coset:
-            remaining.pop(M.key(x), None)
-            if M.det(x) == one:
-                if best is None or M.key(x) < M.key(best):
-                    best = x
+        best = best_key = None
+        for n in sub:
+            x = M.mul(n, g)
+            kx = M.key(x)
+            remaining.pop(kx, None)
+            if M.det(x) == one and (best is None or kx < best_key):
+                best, best_key = x, kx
         if best is None:
             raise AssertionError("coset without SL_2 element; det(N) "
                                  "should be all units")
-        reps.append(best if M.key(g) != M.key(ident) else ident)
+        reps.append(best if k != ident_key else ident)
     return reps
 
 

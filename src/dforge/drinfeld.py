@@ -10,6 +10,7 @@ phi_T.
 
 from .fields import ExtField
 from .poly import PolyRing, ResidueRing, LocalizedRing, FunctionField, trim
+from .ring import Ring
 from .skew import SkewPoly, skew_kernel
 from . import linalg
 
@@ -297,7 +298,7 @@ def carlitz_cyclotomic(A, f):
 # -- the universal rank 1 module over R' ----------------------------------
 
 
-class CyclotomicRing:
+class CyclotomicRing(Ring):
     """R' = A_f[lam]/(Phi_f(lam)): coefficients of the universal rank-1
     Drinfeld module with mu(1) = 1 live here.
 
@@ -404,9 +405,6 @@ class CyclotomicRing:
     def neg(self, a):
         return tuple(self.Af.neg(x) for x in a)
 
-    def sub(self, a, b):
-        return tuple(self.Af.sub(x, y) for x, y in zip(a, b))
-
     def mul(self, a, b):
         A = self.A
         na, ka = self._lift(a)
@@ -419,15 +417,6 @@ class CyclotomicRing:
                 if y:
                     conv[i + j] = A.add(conv[i + j], A.mul(x, y))
         return self._fold(conv, ka + kb)
-
-    def pow(self, a, n):
-        r = self.one()
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
 
     def qpow(self, a, k=1):
         """a^(q^k): Frobenius is additive, so lam^i / f^K goes to
@@ -532,15 +521,11 @@ class CyclotomicRing:
             parts.append(s if i == 0 else "(%s)*lam^%d" % (s, i))
         return " + ".join(parts) if parts else "0"
 
+    def _key(self):
+        return (self.K, self.f)
+
     def __repr__(self):
         return "A_f[lam]/(Phi_f), f=%s" % (self.A.repr_elem(self.f),)
-
-    def __eq__(self, other):
-        return (isinstance(other, CyclotomicRing) and other.K == self.K
-                and other.f == self.f)
-
-    def __hash__(self):
-        return hash(("CyclotomicRing", self.K, self.f))
 
 
 class UniversalRank1:

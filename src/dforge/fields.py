@@ -16,6 +16,8 @@ base field otherwise.  No floating point, no randomness.
 
 import os
 
+from .ring import Ring
+
 DEFAULT_MAX_Q = 3 ** 10
 
 _TABLE_LIMIT = 256  # build full mul tables up to this field size
@@ -36,7 +38,7 @@ def _is_prime(n):
     return True
 
 
-class PrimeField:
+class PrimeField(Ring):
     """F_p with elements 0..p-1."""
 
     def __init__(self, p):
@@ -100,14 +102,11 @@ class PrimeField:
     def scalar(self, c):
         return c % self.p
 
+    def _key(self):
+        return (self.p,)
+
     def __repr__(self):
         return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
 
 
 # -- minimal polynomial helpers over an arbitrary field object, used only --
@@ -227,7 +226,7 @@ def least_irreducible(F, d):
     raise RuntimeError("no irreducible of degree %d over %s" % (d, F))
 
 
-class ExtField:
+class ExtField(Ring):
     """Extension of degree d over a base field, elements encoded as ints."""
 
     def __init__(self, base, degree, modulus=None, q=None):
@@ -310,9 +309,6 @@ class ExtField:
         bb = self.base
         return self.unvec([bb.neg(x) for x in self.vec(a)])
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def _mul_raw(self, a, b):
         bb = self.base
         va, vb = self.vec(a), self.vec(b)
@@ -334,17 +330,6 @@ class ExtField:
         if self._mul_table is not None:
             return self._mul_table[a][b]
         return self._mul_raw(a, b)
-
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        r, base = 1, a
-        while n:
-            if n & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return r
 
     def is_unit(self, a):
         return a != 0
@@ -384,15 +369,11 @@ class ExtField:
         # encodings 0..q-1 are the subfield F_q along the tower
         return c
 
+    def _key(self):
+        return (self.size, self.modulus, self.base)
+
     def __repr__(self):
         return self.name
-
-    def __eq__(self, other):
-        return (isinstance(other, ExtField) and other.size == self.size
-                and other.modulus == self.modulus and other.base == self.base)
-
-    def __hash__(self):
-        return hash(("ExtField", self.size, self.modulus))
 
 
 def field_make(p, e, m=1):

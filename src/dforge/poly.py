@@ -12,8 +12,11 @@ This module provides, for A = F_q[T]:
                        denominator.
 
 All element encodings are canonical, so ``==`` and hashing work on the raw
-data.  The degree of the zero polynomial is the sentinel ``NEG_INF``.
+data; the ring objects compare and hash by their defining data (``_key``).
+The degree of the zero polynomial is the sentinel ``NEG_INF``.
 """
+
+from .ring import Ring
 
 
 class _NegInf:
@@ -50,7 +53,7 @@ def trim(coeffs):
     return tuple(c)
 
 
-class PolyRing:
+class PolyRing(Ring):
     """F_q[T] over a field object from ``dforge.fields``."""
 
     def __init__(self, K, var="T"):
@@ -97,12 +100,6 @@ class PolyRing:
         K = self.K
         return tuple(K.neg(c) for c in a)
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def is_zero(self, a):
-        return self._trim(a) == ()
-
     def mul(self, a, b):
         if not a or not b:
             return ()
@@ -120,15 +117,6 @@ class PolyRing:
     def scalar_mul(self, c, a):
         K = self.K
         return self._trim(tuple(K.mul(c, x) for x in a))
-
-    def pow(self, a, n):
-        r = self.one()
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
 
     def qpow(self, a, k=1):
         """a^(q^k) -- freshman's dream in characteristic p."""
@@ -303,18 +291,14 @@ class PolyRing:
                              + "%s^%d" % (self.var, i))
         return " + ".join(parts)
 
+    def _key(self):
+        return (self.K, self.var)
+
     def __repr__(self):
         return "%s[%s]" % (self.K, self.var)
 
-    def __eq__(self, other):
-        return (isinstance(other, PolyRing) and other.K == self.K
-                and other.var == self.var)
 
-    def __hash__(self):
-        return hash(("PolyRing", self.K, self.var))
-
-
-class ResidueRing:
+class ResidueRing(Ring):
     """A/fA with canonical representatives of degree < deg f."""
 
     def __init__(self, A, f):
@@ -357,9 +341,6 @@ class ResidueRing:
     def neg(self, a):
         return self.A.neg(a)
 
-    def sub(self, a, b):
-        return self.add(a, self.A.neg(b))
-
     def mul(self, a, b):
         if self._mulmemo is None:
             return self.reduce(self.A.mul(a, b))
@@ -369,15 +350,6 @@ class ResidueRing:
             out = self.reduce(self.A.mul(a, b))
             self._mulmemo[key] = out
         return out
-
-    def pow(self, a, n):
-        r = self.one()
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
 
     def qpow(self, a, k=1):
         return self.pow(a, self.q ** k)
@@ -410,15 +382,11 @@ class ResidueRing:
     def repr_elem(self, a):
         return self.A.repr_elem(a)
 
+    def _key(self):
+        return (self.A, self.f)
+
     def __repr__(self):
         return "%s/(%s)" % (self.A, self.A.repr_elem(self.f))
-
-    def __eq__(self, other):
-        return (isinstance(other, ResidueRing) and other.A == self.A
-                and other.f == self.f)
-
-    def __hash__(self):
-        return hash(("ResidueRing", self.A, self.f))
 
 
 def residue_units(A, f):
@@ -429,7 +397,7 @@ def residue_units(A, f):
     return ResidueRing(A, f).units()
 
 
-class LocalizedRing:
+class LocalizedRing(Ring):
     """A_f = A[1/f]; elements are (num, k) = num / f^k with k minimal.
 
     Canonical form: zero is ((), 0), and when k > 0, f does not divide
@@ -482,9 +450,6 @@ class LocalizedRing:
     def one(self):
         return ((1,), 0)
 
-    def const(self, c):
-        return (trim((c,)), 0)
-
     def scalar(self, c):
         return (trim((c,)), 0)
 
@@ -505,22 +470,10 @@ class LocalizedRing:
     def neg(self, a):
         return (self.A.neg(a[0]), a[1])
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         k = a[1] + b[1]
         num = self.A.mul(a[0], b[0])
         return self.normalize(num, k) if k or not num else (num, 0)
-
-    def pow(self, a, n):
-        r = self.one()
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
 
     def qpow(self, a, k=1):
         num, j = a
@@ -548,9 +501,6 @@ class LocalizedRing:
                 return self.normalize(self.A.mul(b, self.fpow(k)), e)
         raise ZeroDivisionError("non-unit of A_f")
 
-    def eq(self, a, b):
-        return a == b
-
     def rand(self, rng, maxdeg=3):
         return self.make(self.A.rand(rng, maxdeg), rng.randrange(2))
 
@@ -561,18 +511,14 @@ class LocalizedRing:
             return s
         return "(%s)/(%s)^%d" % (s, self.A.repr_elem(self.f), k)
 
+    def _key(self):
+        return (self.A, self.f)
+
     def __repr__(self):
         return "%s[1/(%s)]" % (self.A, self.A.repr_elem(self.f))
 
-    def __eq__(self, other):
-        return (isinstance(other, LocalizedRing) and other.A == self.A
-                and other.f == self.f)
 
-    def __hash__(self):
-        return hash(("LocalizedRing", self.A, self.f))
-
-
-class FunctionField:
+class FunctionField(Ring):
     """Frac(F_q[T]) with coprime (num, den), den monic."""
 
     def __init__(self, A):
@@ -618,9 +564,6 @@ class FunctionField:
     def neg(self, a):
         return (self.A.neg(a[0]), a[1])
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         return self.normalize(self.A.mul(a[0], b[0]),
                               self.A.mul(a[1], b[1]))
@@ -635,17 +578,6 @@ class FunctionField:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        r = self.one()
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
 
     def qpow(self, a, k=1):
         return (self.A.qpow(a[0], k), self.A.qpow(a[1], k))
@@ -662,14 +594,11 @@ class FunctionField:
             return self.A.repr_elem(a[0])
         return "(%s)/(%s)" % (self.A.repr_elem(a[0]), self.A.repr_elem(a[1]))
 
+    def _key(self):
+        return (self.A,)
+
     def __repr__(self):
         return "Frac(%s)" % (self.A,)
-
-    def __eq__(self, other):
-        return isinstance(other, FunctionField) and other.A == self.A
-
-    def __hash__(self):
-        return hash(("FunctionField", self.A))
 
 
 def char_eval(A, a, theta, dom=None, embed_scalar=None):

@@ -14,6 +14,8 @@ the q-power map on series is the coefficientwise q-power composed with
 exponent scaling, which costs nothing in precision.
 """
 
+from .ring import Ring
+
 # x-adic coefficients kept as slack between a working precision and what
 # is checked or reported at it (the Tate working precision, the h_sigma
 # window, the lattice check after stable reduction).
@@ -217,16 +219,6 @@ class Series:
             s = Series(dom, s.low * q, coeffs, prec)
         return s
 
-    def pow_int(self, n):
-        r = Series.one(self.dom)
-        b = self
-        while n:
-            if n & 1:
-                r = r.mul(b)
-            b = b.mul(b)
-            n >>= 1
-        return r
-
     # -- comparisons / ordering --
 
     def agree_prec(self, other):
@@ -285,7 +277,7 @@ class Series:
         return body
 
 
-class LaurentDomain:
+class LaurentDomain(Ring):
     """Domain-protocol wrapper: Laurent series over a coefficient domain.
 
     ``default_prec`` is used when an exact element must be inverted.
@@ -319,9 +311,6 @@ class LaurentDomain:
     def neg(self, a):
         return a.neg()
 
-    def sub(self, a, b):
-        return a.sub(b)
-
     def mul(self, a, b):
         return a.mul(b)
 
@@ -343,12 +332,8 @@ class LaurentDomain:
     def repr_elem(self, a):
         return repr(a)
 
+    def _key(self):
+        return (self.cdom, self.var)
+
     def __repr__(self):
         return "%s((%s))" % (self.cdom, self.var)
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentDomain) and other.cdom == self.cdom
-                and other.var == self.var)
-
-    def __hash__(self):
-        return hash(("LaurentDomain", self.cdom, self.var))

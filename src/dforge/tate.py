@@ -110,7 +110,7 @@ def lattice_exp(L, N=None):
     for i in range(SHELL_CAP):
         w = L.shell_point(i)
         g = e.eval(w, ydom=LD)
-        gq = g.pow_int(q - 1)
+        gq = LD.pow(g, q - 1)
         ginv = gq.inv(work_prec=W) if gq.prec is None else gq.inv()
         corr = [ginv.mul(LD.qpow(c, 1)).truncate(W) for c in e.coeffs]
         if all(c.is_zero() for c in corr):
@@ -272,7 +272,7 @@ def j_expansion(te, a):
     phi_a = te.phi.image(a)
     bd = phi_a.coeff(d)
     b2d = phi_a.coeff(2 * d)
-    denom = bd.pow_int(q ** d + 1)
+    denom = te.LD.pow(bd, q ** d + 1)
     inv_j = b2d.mul(denom.inv())
     k = inv_j.valuation()
     if k is None:

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from dforge.fields import field_make
@@ -36,3 +39,21 @@ def tate_T(uni_T):
     """The (q=3, f=T) Tate expansion at N=9, shared by many tests."""
     L = tate_lattice(uni_T, N=9)
     return tate_module(L, 9)
+
+
+@pytest.fixture
+def deadline():
+    """deadline(s) is a context that raises TimeoutError after s seconds
+    (SIGALRM), so a call that never returns fails instead of hanging."""
+    @contextlib.contextmanager
+    def guard(seconds):
+        def expire(signum, frame):
+            raise TimeoutError("still running after %d s" % seconds)
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+    return guard

@@ -144,6 +144,21 @@ def test_localized_shortcuts_equal_naive(q, f):
         assert Af.fpow(k) == A.pow(Af.f, k)
 
 
+def test_pow_negative_exponent(A, deadline):
+    """Negative powers invert first: units come back, non-units raise.
+    A square-and-multiply loop on n itself never ends (-1 >> 1 == -1)."""
+    R = ResidueRing(A, (1, 0, 1))
+    Af = LocalizedRing(A, (0, 1))
+    with deadline(5):
+        assert A.pow((2,), -3) == (2,)
+        with pytest.raises(ZeroDivisionError):
+            A.pow((0, 1), -1)
+        assert R.pow((0, 1), -1) == (0, 2)          # 1/T = -T mod T^2+1
+        assert Af.pow(((0, 1), 0), -2) == ((1,), 2)
+        with pytest.raises(ZeroDivisionError):
+            Af.pow(((1, 1), 0), -1)
+
+
 def test_function_field(A):
     FF = FunctionField(A)
     rng = random.Random(11)
