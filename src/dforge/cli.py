@@ -8,10 +8,12 @@ Subcommands:
 
 Output is line-delimited JSON with all integers as decimal strings.
 Exit codes: 0 success, 2 configuration error, 3 precision error,
-4 mathematical precondition violated.
+4 mathematical precondition violated, 5 internal error (a failed
+internal consistency check).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PRECISION = 3
 EXIT_MATH = 4
+EXIT_INTERNAL = 5
 
 
 class ConfigError(ValueError):
@@ -174,9 +177,17 @@ def build_parser():
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _parser():
+    # built once per process: an ArgumentParser is some 170 objects in
+    # reference cycles, which only the cyclic collector frees, so one per
+    # call piles up garbage in a caller that runs many commands in-process
+    return build_parser()
+
+
 def main(argv=None, out=None):
     out = out or sys.stdout
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
@@ -192,6 +203,10 @@ def main(argv=None, out=None):
     except (ConfigError, ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_CONFIG
+    except AssertionError as exc:
+        sys.stderr.write("internal error: %s\n"
+                         % (str(exc) or "failed assertion"))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

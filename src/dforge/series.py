@@ -145,15 +145,24 @@ class Series:
         prec = min(parts) if parts else None
         if not self.coeffs or not other.coeffs:
             return Series(dom, 0, (), prec)
-        out = [dom.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == dom.zero():
+        low = self.low + other.low
+        # form only the products below the result's precision
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        if prec is not None:
+            n = max(0, min(n, prec - low))
+        zero = dom.zero()
+        out = [zero] * n
+        bs = other.coeffs
+        for i, a in enumerate(self.coeffs[:n]):
+            if a == zero:
                 continue
-            for j, b in enumerate(other.coeffs):
-                if b == dom.zero():
+            # index rather than slice: a slice per row is a fresh tuple
+            for j in range(min(len(bs), n - i)):
+                b = bs[j]
+                if b == zero:
                     continue
                 out[i + j] = dom.add(out[i + j], dom.mul(a, b))
-        return Series(dom, self.low + other.low, out, prec)
+        return Series(dom, low, out, prec)
 
     def scalar_mul(self, c):
         dom = self.dom

@@ -200,23 +200,22 @@ def _prime_dim(F):
 
 
 def _to_prime_vec(F, a):
-    """Coordinates of a over F_p, flattening the tower recursively."""
-    if isinstance(F, PrimeField):
-        return [a]
+    """Coordinates of a over F_p: the base-p digits of its encoding,
+    which along the whole tower are its flattened power-basis digits."""
+    p = F.char
     out = []
-    for digit in F.vec(a):
-        out.extend(_to_prime_vec(F.base, digit))
+    for _ in range(_prime_dim(F)):
+        a, digit = divmod(a, p)
+        out.append(digit)
     return out
 
 
 def _from_prime_vec(F, v):
-    if isinstance(F, PrimeField):
-        return v[0] % F.p
-    step = _prime_dim(F.base)
-    digits = []
-    for i in range(F.degree):
-        digits.append(_from_prime_vec(F.base, v[i * step:(i + 1) * step]))
-    return F.unvec(digits)
+    p = F.char
+    a = 0
+    for digit in reversed(v):
+        a = a * p + digit
+    return a
 
 
 def skew_kernel(a, exhaustive=False):
@@ -234,19 +233,14 @@ def skew_kernel(a, exhaustive=False):
     if exhaustive:
         return sorted(z for z in F.elements() if a.eval(z) == 0)
     dim = _prime_dim(F)
-    basis = []
-    for i in range(dim):
-        v = [0] * dim
-        v[i] = 1
-        basis.append(_from_prime_vec(F, v))
-    Fp = PrimeField(F.char)
-    # columns = images of basis vectors
-    cols = [_to_prime_vec(F, a.eval(b)) for b in basis]
+    p = F.char
+    Fp = PrimeField(p)
+    # columns = images of the F_p-basis vectors, the encodings p^i
+    cols = [_to_prime_vec(F, a.eval(p ** i)) for i in range(dim)]
     M = [[cols[j][i] for j in range(dim)] for i in range(dim)]
     null = linalg.nullspace(Fp, M, dim)
     # expand the nullspace to the full set of kernel points
     points = set()
-    p = F.char
     span = [[0] * dim]
     for bvec in null:
         new = []

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -186,6 +187,44 @@ def test_reduce_series_missing_key(tmp_path, capsys):
     p = tmp_path / "series_not_object.json"
     p.write_text(json.dumps(doc))
     assert run_cli("reduce", str(p)) == (2, "")
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(cli, "census", failing)
+    code, out = run_cli("census", "--q", "3", "--f", "0,1")
+    assert code == cli.EXIT_INTERNAL == 5 and out == ""
+    assert capsys.readouterr().err == "internal error: invariant broken\n"
+
+
+def test_reduce_precision_collapse_has_no_traceback(tmp_path, capsys):
+    # the q = 5, f = T specialisation over F_25 at N = 20: the lattice
+    # generator comes back zero to precision (ROADMAP item 1), which an
+    # internal check catches; exit 3 would be the precision contract
+    doc = {"q": "5", "m": "2", "f": ["0", "1"], "N": "20", "phi": [
+        {"low": "0", "prec": None, "coeffs": ["1"]},
+        {"low": "0", "prec": "50", "coeffs": ["4"]},
+        {"low": "20", "prec": "50",
+         "coeffs": ["1"] + ["0"] * 3 + ["4"] + ["0"] * 15
+         + ["1", "0", "0", "0", "4"]}]}
+    p = tmp_path / "q5.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_cli("reduce", str(p))
+    assert code in (cli.EXIT_PRECISION, cli.EXIT_INTERNAL) and out == ""
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_repeated_main_leaves_no_cyclic_garbage():
+    # in-process callers (the benchmark, tests) run many commands; each
+    # call must not leave reference cycles behind for the collector
+    argv = ("reduce", os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "docs", "reduce_input_example.json"))
+    assert run_cli(*argv)[0] == 0
+    gc.collect()
+    assert run_cli(*argv)[0] == 0
+    assert gc.collect() == 0
 
 
 # sha256 of the whole stdout of `tate`, recorded before R' products moved

@@ -77,3 +77,97 @@ def test_reducible_modulus_rejected():
 def test_size_bound_enforced():
     with pytest.raises(ValueError):
         field_make(3, 1, 11)  # 3^11 > default bound 3^10
+
+
+# -- log/antilog and Zech tables against the schoolbook path --------------
+
+def _add_oracle(F, a, b):
+    """Digit-wise addition down to F_p, through vec/unvec at every level."""
+    if isinstance(F, PrimeField):
+        return (a + b) % F.p
+    return F.unvec([_add_oracle(F.base, x, y)
+                    for x, y in zip(F.vec(a), F.vec(b))])
+
+
+def _neg_oracle(F, a):
+    if isinstance(F, PrimeField):
+        return (-a) % F.p
+    return F.unvec([_neg_oracle(F.base, x) for x in F.vec(a)])
+
+
+def _pow_oracle(F, a, n):
+    r = 1
+    while n:
+        if n & 1:
+            r = F._mul_raw(r, a)
+        a = F._mul_raw(a, a)
+        n >>= 1
+    return r
+
+
+def _check_against_oracle(F, pairs):
+    for a, b in pairs:
+        assert F.mul(a, b) == F._mul_raw(a, b), (F, a, b)
+        assert F.add(a, b) == _add_oracle(F, a, b), (F, a, b)
+    for a, _ in pairs:
+        assert F.neg(a) == _neg_oracle(F, a), (F, a)
+        if a:
+            assert F._mul_raw(a, F.inv(a)) == 1, (F, a)
+        frob = _pow_oracle(F, a, F.q)
+        assert F.frobenius(a) == frob, (F, a)
+        x = a
+        for k in range(F._frob_order + 2):
+            assert F.qpow(a, k) == x, (F, a, k)
+            x = _pow_oracle(F, x, F.q)
+
+
+# (p, e, m): F_{q^m} for q = p^e; the ones up to 27 elements are exhaustive
+EXHAUSTIVE_FIELDS = [(2, 2, 1), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2),
+                     (3, 1, 3)]
+SEEDED_FIELDS = [(2, 2, 3), (3, 1, 5), (2, 1, 8), (3, 1, 6), (2, 1, 11),
+                 (3, 1, 7)]
+
+
+@pytest.mark.parametrize("p,e,m", EXHAUSTIVE_FIELDS,
+                         ids=["F%d" % p ** (e * m) for p, e, m in
+                              EXHAUSTIVE_FIELDS])
+def test_table_field_exhaustive(p, e, m):
+    F = field_make(p, e, m)
+    assert F._log is not None
+    _check_against_oracle(F, [(a, b) for a in F.elements()
+                              for b in F.elements()])
+
+
+@pytest.mark.parametrize("p,e,m", SEEDED_FIELDS,
+                         ids=["F%d" % p ** (e * m) for p, e, m in
+                              SEEDED_FIELDS])
+def test_field_seeded(p, e, m):
+    # F_2048 and F_2187 lie above the table limit: the schoolbook path
+    F = field_make(p, e, m)
+    assert (F._log is not None) == (F.size <= 1024)
+    rng = random.Random(F.size)
+    pairs = [(F.rand(rng), F.rand(rng)) for _ in range(300)]
+    pairs += [(0, F.rand(rng)), (F.rand(rng), 0), (1, F.size - 1)]
+    _check_against_oracle(F, pairs)
+
+
+def test_table_build_is_linear(monkeypatch):
+    calls = [0]
+    raw = ExtField._mul_raw
+
+    def counting(self, a, b):
+        calls[0] += 1
+        return raw(self, a, b)
+
+    monkeypatch.setattr(ExtField, "_mul_raw", counting)
+    F = field_make(2, 1, 8)
+    assert F._log is not None
+    assert calls[0] < 4 * F.size
+
+
+def test_frobenius_is_identity_on_fq():
+    # F_4 and F_16 made as F_q (m = 1): x -> x^q fixes every element
+    for e in (2, 4):
+        F = field_make(2, e, 1)
+        assert F.q == F.size
+        assert all(F.frobenius(a) == a for a in F.elements())

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dforge.drinfeld import CyclotomicRing
 from dforge.fields import field_make
 from dforge.series import Series, LaurentDomain, PrecisionError
 
@@ -95,3 +96,45 @@ def test_valuation_and_ultrametric(F3):
         s = a.add(b)
         if s.valuation() is not None:
             assert s.valuation() >= min(va, vb)
+
+
+def _mul_oracle(a, b):
+    """The untruncated schoolbook product, then the constructor's cut at
+    the x-adic precision rule."""
+    dom = a.dom
+    va, vb = a._vbound(), b._vbound()
+    if (va is None and a.prec is None) or (vb is None and b.prec is None):
+        return Series(dom, 0, (), None)
+    parts = []
+    if a.prec is not None:
+        parts.append(a.prec + (vb if vb is not None else 0))
+    if b.prec is not None:
+        parts.append(b.prec + (va if va is not None else 0))
+    prec = min(parts) if parts else None
+    out = [dom.zero()] * max(0, len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = dom.add(out[i + j], dom.mul(x, y))
+    return Series(dom, a.low + b.low, out, prec)
+
+
+def _rand_series(dom, rng):
+    coeffs = [dom.zero() if rng.random() < 0.3 else dom.rand(rng)
+              for _ in range(rng.randrange(0, 7))]
+    low = rng.randrange(-3, 4)
+    prec = None if rng.random() < 0.2 else low + rng.randrange(-1, 8)
+    return Series(dom, low, coeffs, prec)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: field_make(3, 1, 2),
+    lambda: CyclotomicRing(field_make(3, 1, 1), (0, 0, 1)),
+], ids=["F9", "R',q=3,f=T^2"])
+def test_mul_equals_truncated_schoolbook(make):
+    dom = make()
+    rng = random.Random(41)
+    for _ in range(300):
+        a, b = _rand_series(dom, rng), _rand_series(dom, rng)
+        got, want = a.mul(b), _mul_oracle(a, b)
+        assert (got.low, got.coeffs, got.prec) == \
+            (want.low, want.coeffs, want.prec)

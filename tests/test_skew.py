@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from dforge.fields import field_make
+from dforge.fields import field_make, PrimeField
 from dforge.poly import PolyRing, FunctionField, NEG_INF
 from dforge.skew import (SkewPoly, skew_mul, skew_right_divmod, skew_eval,
-                         skew_kernel)
+                         skew_kernel, _prime_dim, _to_prime_vec,
+                         _from_prime_vec)
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +160,49 @@ def test_compositional_inverse(F3):
     w2 = w.compositional_inverse(1)
     for i in range(2):
         assert w2.coeff(i).agree(s.coeff(i))
+
+
+# -- F_p-coordinates: base-p digits against the recursive tower walk -------
+
+def _to_prime_vec_oracle(F, a):
+    if isinstance(F, PrimeField):
+        return [a]
+    out = []
+    for digit in F.vec(a):
+        out.extend(_to_prime_vec_oracle(F.base, digit))
+    return out
+
+
+def _from_prime_vec_oracle(F, v):
+    if isinstance(F, PrimeField):
+        return v[0] % F.p
+    step = _prime_dim(F.base)
+    return F.unvec([_from_prime_vec_oracle(F.base, v[i * step:(i + 1) * step])
+                    for i in range(F.degree)])
+
+
+def _subspace_poly(F, vs):
+    """The monic additive polynomial whose roots are the F_q-span of vs."""
+    P = SkewPoly.one(F)
+    for v in vs:
+        c = P.eval(v)
+        if c != 0:
+            P = SkewPoly(F, (F.neg(F.pow(c, F.q - 1)), 1)).mul(P)
+    return P
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 2, 3), (3, 2, 3)],
+                         ids=["F4<F64", "F9<F729"])
+def test_prime_coordinates_match_tower_walk(p, e, m):
+    F = field_make(p, e, m)
+    for a in F.elements():
+        v = _to_prime_vec(F, a)
+        assert v == _to_prime_vec_oracle(F, a)
+        assert _from_prime_vec(F, v) == _from_prime_vec_oracle(F, v) == a
+    rng = random.Random(F.size)
+    for k in range(3):
+        vs = [F.rand(rng) for _ in range(k)]
+        a = _subspace_poly(F, vs)
+        pts = skew_kernel(a)
+        assert pts == skew_kernel(a, exhaustive=True)
+        assert len(pts) == F.q ** a.deg()
