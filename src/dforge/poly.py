@@ -130,24 +130,29 @@ class PolyRing(Ring):
         return a
 
     def divmod(self, a, b):
+        """(quotient, remainder) of a by b in one pass from the top
+        quotient coefficient down; a may be untrimmed or shorter than b."""
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
         K = self.K
         z = self._z
-        inv_lead = K.inv(b[-1])
-        a = list(a)
-        q = [z] * max(0, len(a) - len(b) + 1)
-        while len(a) >= len(b) and a:
-            if a[-1] == z:
-                a.pop()
+        add, mul = K.add, K.mul
+        m = len(b) - 1
+        inv_lead = None if b[m] == K.one() else K.inv(b[m])
+        # the divisor's non-zero low coefficients, negated once
+        low = [(j, K.neg(c)) for j, c in enumerate(b[:m]) if c != z]
+        r = list(a)
+        q = [z] * max(0, len(r) - m)
+        for k in range(len(r) - m - 1, -1, -1):
+            c = r[k + m]
+            if c == z:
                 continue
-            k = len(a) - len(b)
-            c = K.mul(a[-1], inv_lead)
+            if inv_lead is not None:
+                c = mul(c, inv_lead)
             q[k] = c
-            for j in range(len(b)):
-                a[k + j] = K.sub(a[k + j], K.mul(c, b[j]))
-            a.pop()
-        return self._trim(q), self._trim(a)
+            for j, nb in low:
+                r[k + j] = add(r[k + j], mul(c, nb))
+        return self._trim(q), self._trim(r[:m])
 
     def divexact(self, a, b):
         q, r = self.divmod(a, b)
@@ -407,6 +412,13 @@ class LocalizedRing(Ring):
     numerator num_a + f^(ka-kb) num_b is again not divisible by f;
     ``add`` skips the normalisation there.  Powers of f come from one
     table, ``fpow``, extended on demand.
+
+    ``normalize`` strips factors of f from the numerator, at most k of
+    them, without long division when deg f = 1: for f = T it slices off
+    the zero low coefficients, and for f = T - r it divides by synthetic
+    division (Horner), one pass giving quotient and remainder, until the
+    remainder is non-zero.  For deg f >= 2 it divides by f with
+    ``PolyRing.divmod`` until the remainder is non-zero.
     """
 
     def __init__(self, A, f):
@@ -419,6 +431,8 @@ class LocalizedRing(Ring):
         self.q = A.q
         self.char = A.char
         self._fpows = [A.one(), self.f]
+        # the root r of a linear f = T - r, else None
+        self._root = self.K.neg(self.f[0]) if len(self.f) == 2 else None
 
     def fpow(self, e):
         """f^e, from the cached table of powers of f."""
@@ -431,15 +445,40 @@ class LocalizedRing(Ring):
         num = trim(num)
         if not num:
             return ((), 0)
-        while k > 0:
-            q, r = self.A.divmod(num, self.f)
-            if r != ():
-                break
-            num, k = q, k - 1
         if k < 0:
-            num = self.A.mul(num, self.fpow(-k))
-            k = 0
+            return (self.A.mul(num, self.fpow(-k)), 0)
+        r = self._root
+        if r is None:
+            while k > 0:
+                q, rem = self.A.divmod(num, self.f)
+                if rem != ():
+                    break
+                num, k = q, k - 1
+        elif r == 0:
+            j = 0
+            while j < k and num[j] == 0:
+                j += 1
+            num, k = num[j:], k - j
+        else:
+            num, k = self._strip_root(num, k, r)
         return (num, k)
+
+    def _strip_root(self, num, k, r):
+        """Divide num by f = T - r while the remainder is zero, at most k
+        times: Horner's rule from the top coefficient gives the quotient's
+        coefficients and, last, the remainder num(r)."""
+        add, mul = self.K.add, self.K.mul
+        while k > 0:
+            n = len(num) - 1
+            quo = [0] * n
+            acc = num[n]
+            for i in range(n - 1, -1, -1):
+                quo[i] = acc
+                acc = add(num[i], mul(r, acc))
+            if acc != 0:
+                break
+            num, k = quo, k - 1
+        return tuple(num), k
 
     def make(self, num, k=0):
         return self.normalize(num, k)

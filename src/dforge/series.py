@@ -30,21 +30,24 @@ class Series:
     __slots__ = ("dom", "low", "coeffs", "prec")
 
     def __init__(self, dom, low, coeffs, prec):
-        coeffs = list(coeffs)
+        """``coeffs`` is a list or tuple; entries at or beyond ``prec``
+        are dropped and zeros at both ends trimmed, in one slice."""
+        zero = dom.zero()
+        hi = len(coeffs)
         if prec is not None:
-            # drop stored coefficients at or beyond the precision bound
-            keep = max(0, prec - low)
-            coeffs = coeffs[:keep]
-        while coeffs and coeffs[-1] == dom.zero():
-            coeffs.pop()
-        while coeffs and coeffs[0] == dom.zero():
-            coeffs.pop(0)
-            low += 1
-        if not coeffs:
-            low = 0
+            hi = max(0, min(hi, prec - low))
+        while hi and coeffs[hi - 1] == zero:
+            hi -= 1
+        lo = 0
+        while lo < hi and coeffs[lo] == zero:
+            lo += 1
         self.dom = dom
-        self.low = low
-        self.coeffs = tuple(coeffs)
+        if lo < hi:
+            self.low = low + lo
+            self.coeffs = tuple(coeffs[lo:hi])
+        else:
+            self.low = 0
+            self.coeffs = ()
         self.prec = prec
 
     # -- constructors --
@@ -186,11 +189,16 @@ class Series:
         dom = self.dom
         if not self.coeffs:
             raise ZeroDivisionError("inverse of (0 to precision) series")
-        if not dom.is_unit(self.coeffs[0]):
-            raise ZeroDivisionError("lowest series coefficient is not a unit")
+        # one inversion serves as the unit test and as b[0]; over R'
+        # is_unit would itself be a full inversion
+        try:
+            b0 = dom.inv(self.coeffs[0])
+        except ZeroDivisionError:
+            raise ZeroDivisionError(
+                "lowest series coefficient is not a unit") from None
         if len(self.coeffs) == 1 and self.prec is None:
             # exact monomial: the inverse is exact too
-            return Series(dom, -self.low, (dom.inv(self.coeffs[0]),), None)
+            return Series(dom, -self.low, (b0,), None)
         L = self.low
         if self.prec is None:
             if work_prec is None:
@@ -201,14 +209,14 @@ class Series:
             nrel = self.prec - L
         if nrel <= 0:
             raise PrecisionError("no coefficients left at this precision")
-        a = list(self.coeffs[:nrel]) + \
-            [dom.zero()] * max(0, nrel - len(self.coeffs))
-        b = [dom.zero()] * nrel
-        b[0] = dom.inv(a[0])
+        zero = dom.zero()
+        a = list(self.coeffs[:nrel]) + [zero] * max(0, nrel - len(self.coeffs))
+        b = [zero] * nrel
+        b[0] = b0
         for k in range(1, nrel):
-            acc = dom.zero()
+            acc = zero
             for i in range(1, min(k, len(a) - 1) + 1):
-                if a[i] != dom.zero():
+                if a[i] != zero:
                     acc = dom.add(acc, dom.mul(a[i], b[k - i]))
             b[k] = dom.neg(dom.mul(b[0], acc))
         prec = work_prec if self.prec is None else self.prec - 2 * L

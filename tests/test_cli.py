@@ -251,6 +251,29 @@ def test_tate_golden_stdout(q, f, N, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the whole stdout of `tate` on the linear-f normalisation
+# paths the cells above miss: f = T and f = T + 1 over the non-prime
+# F_4, and f = T + 1 (root 2) over F_3.  Recorded before A_f stripped
+# linear f without long division.
+TATE_GOLDEN_LINEAR = [
+    ("4", "1,1", "18",
+     "b69f170183ce0f11d666cb49a1bbdd3611b2fe9b874b23d7f27b14d7af7deaf9"),
+    ("4", "0,1", "29",
+     "b9c5e60fc093265013080fea55905ee9696dd88ba90cbab27b090975ca75e7d4"),
+    ("3", "1,1", "16",
+     "d9fa4c36b3397f18e7ec4379ee4a854958f5451996af218be10d42cbcc3dd0d5"),
+]
+
+
+@pytest.mark.parametrize("q,f,N,digest", TATE_GOLDEN_LINEAR,
+                         ids=["q%s-f%s-N%s" % c[:3]
+                              for c in TATE_GOLDEN_LINEAR])
+def test_tate_golden_stdout_linear_f(q, f, N, digest):
+    code, out = run_cli("tate", "--q", q, "--f", f, "--N", N)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_selftest_passes_and_is_deterministic():
     code1, out1 = run_cli("selftest")
     assert code1 == 0

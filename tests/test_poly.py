@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from dforge.drinfeld import CyclotomicRing
 from dforge.fields import field_make
 from dforge.poly import (PolyRing, ResidueRing, LocalizedRing,
                          FunctionField, residue_units, char_eval, NEG_INF)
+from dforge.series import Series
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +182,127 @@ def test_factor(A):
 def test_squarefree_divisors(A):
     sq = dict(A.squarefree_monic_divisors((0, 0, 1)))
     assert sq == {(1,): 1, (0, 1): -1}
+
+
+# -- oracles: schoolbook long division, and A_f normalisation as a loop
+#    of long divisions by f --
+
+def divmod_oracle(A, a, b):
+    """Schoolbook long division, popping the dividend's top each step."""
+    K, z = A.K, A.K.zero()
+    inv_lead = K.inv(b[-1])
+    a = list(a)
+    q = [z] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and a:
+        if a[-1] == z:
+            a.pop()
+            continue
+        k = len(a) - len(b)
+        c = K.mul(a[-1], inv_lead)
+        q[k] = c
+        for j in range(len(b)):
+            a[k + j] = K.sub(a[k + j], K.mul(c, b[j]))
+        a.pop()
+    return A._trim(q), A._trim(a)
+
+
+def normalize_oracle(Af, num, k):
+    """Divide by f while the remainder is zero and k > 0; clear k < 0."""
+    A = Af.A
+    num = A._trim(num)
+    if not num:
+        return ((), 0)
+    while k > 0:
+        q, r = divmod_oracle(A, num, Af.f)
+        if r != ():
+            break
+        num, k = q, k - 1
+    if k < 0:
+        num = A.mul(num, A.pow(Af.f, -k))
+        k = 0
+    return (num, k)
+
+
+NORMALIZE_MODULI = {"T": (0, 1), "T+1": (1, 1), "T+2": (2, 1),
+                    "T^2": (0, 0, 1), "T^2+T": (0, 1, 1),
+                    "T^2+1": (1, 0, 1)}
+NORMALIZE_CELLS = [(p, e, fname) for p, e in [(2, 1), (3, 1), (2, 2), (5, 1)]
+                   for fname in NORMALIZE_MODULI
+                   if fname != "T+2" or p ** e >= 3]
+
+
+@pytest.mark.parametrize("p,e,fname", NORMALIZE_CELLS,
+                         ids=["F%d-%s" % (p ** e, fname)
+                              for p, e, fname in NORMALIZE_CELLS])
+def test_normalize_matches_oracle(p, e, fname):
+    """normalize(f^j * g, k) equals the long-division loop exactly, for
+    j in 0..4 and k in -2..j+2; g carries a prime factor of f half of
+    the time, so more than j factors of f can be stripped."""
+    A = PolyRing(field_make(p, e))
+    Af = LocalizedRing(A, NORMALIZE_MODULI[fname])
+    primes = [pr for pr, _ in A.factor(Af.f)]
+    rng = random.Random("%d-%d-%s" % (p, e, fname))
+    for _ in range(60):
+        g = A.rand(rng, rng.randrange(5))
+        if rng.random() < 0.5:
+            g = A.mul(g, rng.choice(primes))
+        for j in range(5):
+            num = A.mul(A.pow(Af.f, j), g)
+            for k in range(-2, j + 3):
+                assert Af.normalize(num, k) == normalize_oracle(Af, num, k)
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (2, 2)], ids=["F5", "F4"])
+def test_divmod_matches_oracle(p, e):
+    """Untrimmed dividends, dividends shorter than the divisor, and
+    non-monic divisors all give the long-division result exactly."""
+    K = field_make(p, e)
+    A = PolyRing(K)
+    rng = random.Random(17 * p + e)
+    for _ in range(500):
+        b = A.rand(rng, rng.randrange(4))
+        if not b:
+            continue
+        a = tuple(K.rand(rng) for _ in range(rng.randrange(9)))
+        a += (0,) * rng.randrange(3)
+        q, r = A.divmod(a, b)
+        assert (q, r) == divmod_oracle(A, a, b)
+        assert A.add(A.mul(q, b), r) == A._trim(a)
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    real = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p,e,f", [(3, 1, (0, 1)), (5, 1, (1, 1)),
+                                   (2, 2, (0, 1)), (2, 2, (3, 1))],
+                         ids=["F3-T", "F5-T+1", "F4-T", "F4-T+3"])
+def test_normalize_linear_f_makes_no_divmod(monkeypatch, p, e, f):
+    A = PolyRing(field_make(p, e))
+    Af = LocalizedRing(A, f)
+    rng = random.Random(5)
+    cases = []
+    for j in range(5):
+        g = A.rand(rng, 6)
+        cases.append((A.mul(A.pow(Af.f, j), g), j + 1))
+    calls = _count_calls(monkeypatch, PolyRing, "divmod")
+    for num, k in cases:
+        Af.normalize(num, k)
+    assert calls == []
+
+
+def test_series_inv_inverts_the_low_coefficient_once(monkeypatch):
+    R = CyclotomicRing(field_make(3, 1), (0, 0, 1))
+    s = Series(R, -1, (R.one(), R.theta(), R.lam()), 5)
+    calls = _count_calls(monkeypatch, CyclotomicRing, "inv")
+    si = s.inv()
+    assert len(calls) == 1
+    assert s.mul(si).agree(Series.one(R), 3)

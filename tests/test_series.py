@@ -138,3 +138,42 @@ def test_mul_equals_truncated_schoolbook(make):
         got, want = a.mul(b), _mul_oracle(a, b)
         assert (got.low, got.coeffs, got.prec) == \
             (want.low, want.coeffs, want.prec)
+
+
+def _init_oracle(dom, low, coeffs, prec):
+    """(low, coeffs, prec) as the constructor computed them before it
+    trimmed in one slice: cut at prec, pop trailing, pop(0) leading."""
+    coeffs = list(coeffs)
+    if prec is not None:
+        coeffs = coeffs[:max(0, prec - low)]
+    while coeffs and coeffs[-1] == dom.zero():
+        coeffs.pop()
+    while coeffs and coeffs[0] == dom.zero():
+        coeffs.pop(0)
+        low += 1
+    if not coeffs:
+        low = 0
+    return low, tuple(coeffs), prec
+
+
+@pytest.mark.parametrize("make", [
+    lambda: field_make(3, 1, 2),
+    lambda: CyclotomicRing(field_make(3, 1, 1), (0, 0, 1)),
+], ids=["F9", "R',q=3,f=T^2"])
+def test_constructor_trims_like_oracle(make):
+    """Leading and trailing zero runs, all-zero lists, and precisions
+    that cut inside, at the ends of and outside the stored list."""
+    dom = make()
+    rng = random.Random(43)
+    z = dom.zero()
+    for _ in range(400):
+        body = [z if rng.random() < 0.3 else dom.rand(rng)
+                for _ in range(rng.randrange(0, 5))]
+        coeffs = [z] * rng.randrange(0, 4) + body + [z] * rng.randrange(0, 4)
+        low = rng.randrange(-4, 5)
+        prec = None if rng.random() < 0.2 else \
+            low + rng.randrange(-2, len(coeffs) + 3)
+        for seq in (coeffs, tuple(coeffs)):
+            s = Series(dom, low, seq, prec)
+            assert (s.low, s.coeffs, s.prec) == \
+                _init_oracle(dom, low, coeffs, prec)
