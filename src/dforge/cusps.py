@@ -173,31 +173,36 @@ def double_cosets(R, group, left, right):
     subgroups ``left`` and ``right`` of ``group``.
 
     Works on the quotient group/right.  One pass splits ``group`` into
-    the cosets g*right (|G| products) and maps each key to its coset.
+    the cosets g*right (|G| products) and maps each element to its coset.
     The double coset left*g*right is the union of the cosets n*g*right,
     n in ``left``; as ``left`` is a group, the images of one
     representative already give its whole orbit on group/right, so each
     class costs |left| products: |G| + #classes * |left| in all.
     Returns the classes as sets of keys, ordered by least key.
+
+    Matrices are canonical tuples, so one dict over the elements of
+    ``group`` maps each product to its coset; assigning to a key already
+    present keeps the group's own object, so the dict holds no product.
+    Each element is keyed once, when its class is filled.
     """
     M = MatrixRing(R)
-    coset_of = {}
-    cosets = []
+    coset_of = dict.fromkeys(group)
+    reps = []
     for g in group:
-        if M.key(g) in coset_of:
-            continue
-        block = {M.key(M.mul(g, h)) for h in right}
-        for k in block:
-            coset_of[k] = len(cosets)
-        cosets.append((g, block))
-    classes = []
-    done = set()
-    for i, (g, _) in enumerate(cosets):
-        if i in done:
-            continue
-        orbit = {coset_of[M.key(M.mul(n, g))] for n in left}
-        done |= orbit
-        classes.append(set().union(*(cosets[j][1] for j in orbit)))
+        if coset_of[g] is None:
+            for h in right:
+                coset_of[M.mul(g, h)] = len(reps)
+            reps.append(g)
+    class_of = [None] * len(reps)
+    n_classes = 0
+    for c, g in enumerate(reps):
+        if class_of[c] is None:
+            for n in left:
+                class_of[coset_of[M.mul(n, g)]] = n_classes
+            n_classes += 1
+    classes = [set() for _ in range(n_classes)]
+    for g, c in coset_of.items():
+        classes[class_of[c]].add(M.key(g))
     return sorted(classes, key=min)
 
 

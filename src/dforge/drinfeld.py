@@ -307,11 +307,22 @@ class CyclotomicRing(Ring):
     ring the rank-1 moduli actually live over; membership is simply
     'coordinates vanish outside indices divisible by q-1'.
 
-    Products are formed on one common denominator: each operand is
-    lifted to numerators over A on a single power f^K, the numerators
-    are convolved and reduced in A[lam], and each coordinate is
-    normalised once.  Phi_f is monic with coefficients in A, so the
-    table of lam^j mod Phi_f lives over A and needs no denominators.
+    Products work on the support of their operands (the non-zero
+    coordinates) and on one common denominator: the support of each
+    operand is lifted to numerators over A on a single power f^K, the
+    numerators are convolved and reduced in A[lam], and each coordinate
+    is normalised once.  Phi_f is monic with coefficients in A, so the
+    table of lam^j mod Phi_f lives over A and needs no denominators.  An
+    all-zero operand gives zero at once, and two single-coordinate
+    operands at lam^i and lam^j with i + j < d give one A_f product at
+    lam^(i+j), with nothing to reduce.  A sum copies a coordinate that
+    is zero on one side.
+
+    Elements of A_f (only lam^0 non-zero) stay in A_f: their q-power is
+    the A_f q-power, and their inverse is the A_f inverse.  R' is free
+    over A_f with basis 1, lam, ..., lam^(d-1), so a * b = 1 for a in
+    A_f forces a * b_0 = 1 in A_f: a is a unit of R' exactly when it is
+    a unit of A_f, with the same inverse.
     """
 
     def __init__(self, K, f):
@@ -351,13 +362,24 @@ class CyclotomicRing(Ring):
         """lam^j as a lam-power-basis vector over A_f."""
         return [self.Af.from_poly(c) for c in self._lam_row(j)]
 
-    def _lift(self, a):
-        """(nums, K) with a = sum_i nums[i] lam^i / f^K, nums over A."""
-        K = max(k for _, k in a)
+    @staticmethod
+    def _support(a):
+        """The non-zero coordinates of a, as (i, a_i) in index order."""
+        return [(i, c) for i, c in enumerate(a) if c[0]]
+
+    def _lift(self, sup):
+        """(terms, K) with sum of n lam^i / f^K over the terms (i, n)
+        equal to the element of support ``sup``; n over A."""
+        K = max(k for _, (_, k) in sup)
         if K == 0:
-            return [n for n, _ in a], 0
+            return [(i, n) for i, (n, _) in sup], 0
         A, fpow = self.A, self.Af.fpow
-        return [n if k == K else A.mul(n, fpow(K - k)) for n, k in a], K
+        return [(i, n if k == K else A.mul(n, fpow(K - k)))
+                for i, (n, k) in sup], K
+
+    def _in_af(self, a):
+        """True when only the lam^0 coordinate of a can be non-zero."""
+        return not any(c[0] for c in a[1:])
 
     def _fold(self, conv, k):
         """The element sum_j conv[j] lam^j / f^k, conv over A: reduce
@@ -399,33 +421,44 @@ class CyclotomicRing(Ring):
         return tuple(v)
 
     def add(self, a, b):
-        Af = self.Af
-        return tuple(Af.add(x, y) for x, y in zip(a, b))
+        add = self.Af.add
+        return tuple(y if not x[0] else x if not y[0] else add(x, y)
+                     for x, y in zip(a, b))
 
     def neg(self, a):
         return tuple(self.Af.neg(x) for x in a)
 
     def mul(self, a, b):
+        sa = self._support(a)
+        if not sa:
+            return a
+        sb = self._support(b)
+        if not sb:
+            return b
+        if len(sa) == 1 == len(sb) and sa[0][0] + sb[0][0] < self.d:
+            (i, x), (j, y) = sa[0], sb[0]
+            out = list(self.zero())
+            out[i + j] = self.Af.mul(x, y)
+            return tuple(out)
         A = self.A
-        na, ka = self._lift(a)
-        nb, kb = self._lift(b)
-        conv = [A.zero()] * (2 * self.d - 1)
-        for i, x in enumerate(na):
-            if not x:
-                continue
-            for j, y in enumerate(nb):
-                if y:
-                    conv[i + j] = A.add(conv[i + j], A.mul(x, y))
+        ta, ka = self._lift(sa)
+        tb, kb = self._lift(sb)
+        conv = [A.zero()] * (ta[-1][0] + tb[-1][0] + 1)
+        for i, x in ta:
+            for j, y in tb:
+                conv[i + j] = A.add(conv[i + j], A.mul(x, y))
         return self._fold(conv, ka + kb)
 
     def qpow(self, a, k=1):
         """a^(q^k): Frobenius is additive, so lam^i / f^K goes to
         lam^(q i) / f^(q K) with q-th power numerators."""
+        if self._in_af(a):
+            return self.from_af(self.Af.qpow(a[0], k))
         A, q = self.A, self.q
         for _ in range(k):
-            nums, K = self._lift(a)
-            conv = [A.zero()] * (q * (self.d - 1) + 1)
-            for i, n in enumerate(nums):
+            terms, K = self._lift(self._support(a))
+            conv = [A.zero()] * (q * terms[-1][0] + 1)
+            for i, n in terms:
                 conv[q * i] = A.qpow(n, 1)
             a = self._fold(conv, q * K)
         return a
@@ -455,8 +488,11 @@ class CyclotomicRing(Ring):
             return False
 
     def inv(self, a):
-        """Inverse via the multiplication matrix over Frac(A); the result
-        must have f-power denominators or a is not a unit of R'."""
+        """The A_f inverse for an element of A_f; else the inverse via
+        the multiplication matrix over Frac(A), whose result must have
+        f-power denominators or a is not a unit of R'."""
+        if self._in_af(a):
+            return self.from_af(self.Af.inv(a[0]))
         FF = self._ff()
         d = self.d
         cols = []
@@ -497,12 +533,13 @@ class CyclotomicRing(Ring):
         rows = [[n for n, _ in p] for p in powers]
 
         def apply(z):
-            nums, K = self._lift(z)
+            sup = self._support(z)
+            if not sup:
+                return z
+            terms, K = self._lift(sup)
             out = [A.zero()] * d
-            for n, row in zip(nums, rows):
-                if not n:
-                    continue
-                for t, r in enumerate(row):
+            for i, n in terms:
+                for t, r in enumerate(rows[i]):
                     if r:
                         out[t] = A.add(out[t], A.mul(n, r))
             return self._fold(out, K)

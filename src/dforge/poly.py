@@ -414,11 +414,25 @@ class LocalizedRing(Ring):
     table, ``fpow``, extended on demand.
 
     ``normalize`` strips factors of f from the numerator, at most k of
-    them, without long division when deg f = 1: for f = T it slices off
-    the zero low coefficients, and for f = T - r it divides by synthetic
-    division (Horner), one pass giving quotient and remainder, until the
-    remainder is non-zero.  For deg f >= 2 it divides by f with
+    them, without long division for f = T^e and f = T - r: for f = T^e
+    it counts the zero low coefficients j and slices off min(k, j // e)
+    factors at once, and for f = T - r it divides by synthetic division
+    (Horner), one pass giving quotient and remainder, until the
+    remainder is non-zero.  Otherwise it divides by f with
     ``PolyRing.divmod`` until the remainder is non-zero.
+
+    Two products are canonical by construction, read off the
+    factorisation of f once, at construction:
+
+    * f irreducible: f divides num_a * num_b only if it divides num_a or
+      num_b, so a product of two elements with k > 0 keeps its
+      numerator as it is;
+    * f squarefree: f divides num^q only if every prime of f divides
+      num, that is only if f divides num, so ``qpow`` of a canonical
+      element is canonical.
+
+    Products with a k = 0 factor, and these operations over other f,
+    normalise.
     """
 
     def __init__(self, A, f):
@@ -431,8 +445,14 @@ class LocalizedRing(Ring):
         self.q = A.q
         self.char = A.char
         self._fpows = [A.one(), self.f]
-        # the root r of a linear f = T - r, else None
-        self._root = self.K.neg(self.f[0]) if len(self.f) == 2 else None
+        # e when f = T^e, else None
+        self._texp = len(self.f) - 1 if not any(self.f[:-1]) else None
+        # the non-zero root r of a linear f = T - r, else None
+        self._root = (self.K.neg(self.f[0])
+                      if len(self.f) == 2 and self.f[0] else None)
+        mults = [m for _, m in A.factor(self.f)]
+        self._irreducible = mults == [1]
+        self._squarefree = max(mults) == 1
 
     def fpow(self, e):
         """f^e, from the cached table of powers of f."""
@@ -447,20 +467,21 @@ class LocalizedRing(Ring):
             return ((), 0)
         if k < 0:
             return (self.A.mul(num, self.fpow(-k)), 0)
-        r = self._root
-        if r is None:
+        e = self._texp
+        if e is not None:
+            j, top = 0, k * e
+            while j < top and num[j] == 0:
+                j += 1
+            s = j // e
+            num, k = num[s * e:], k - s
+        elif self._root is not None:
+            num, k = self._strip_root(num, k, self._root)
+        else:
             while k > 0:
                 q, rem = self.A.divmod(num, self.f)
                 if rem != ():
                     break
                 num, k = q, k - 1
-        elif r == 0:
-            j = 0
-            while j < k and num[j] == 0:
-                j += 1
-            num, k = num[j:], k - j
-        else:
-            num, k = self._strip_root(num, k, r)
         return (num, k)
 
     def _strip_root(self, num, k, r):
@@ -510,13 +531,19 @@ class LocalizedRing(Ring):
         return (self.A.neg(a[0]), a[1])
 
     def mul(self, a, b):
-        k = a[1] + b[1]
-        num = self.A.mul(a[0], b[0])
+        (na, ka), (nb, kb) = a, b
+        num = self.A.mul(na, nb)
+        if ka and kb and self._irreducible:
+            return (num, ka + kb)
+        k = ka + kb
         return self.normalize(num, k) if k or not num else (num, 0)
 
     def qpow(self, a, k=1):
         num, j = a
-        return self.normalize(self.A.qpow(num, k), j * (self.q ** k))
+        num = self.A.qpow(num, k)
+        if j == 0 or self._squarefree:
+            return (num, j * self.q ** k)
+        return self.normalize(num, j * self.q ** k)
 
     def is_unit(self, a):
         num = a[0]

@@ -110,6 +110,10 @@ def lattice_exp(L, N=None):
     for i in range(SHELL_CAP):
         w = L.shell_point(i)
         g = e.eval(w, ydom=LD)
+        if g.is_zero():
+            raise PrecisionError(
+                "lattice exponential: e(w) on shell %d is zero to its "
+                "precision %s at working precision W=%d" % (i, g.prec, W))
         gq = LD.pow(g, q - 1)
         ginv = gq.inv(work_prec=W) if gq.prec is None else gq.inv()
         corr = [ginv.mul(LD.qpow(c, 1)).truncate(W) for c in e.coeffs]

@@ -274,6 +274,49 @@ def test_tate_golden_stdout_linear_f(q, f, N, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the whole stdout of `tate` for irreducible f of degree 2, the
+# only case where a product over A_f skips normalisation on a wide R'
+# (deg Phi_f = 8 and 3).  Recorded before R' products moved onto the
+# support of their operands.
+TATE_GOLDEN_IRREDUCIBLE = [
+    ("3", "1,0,1", "9",
+     "90f31eeff5bccf5ffce71c5c85673da1b2ebc850b71088f85cf70775748645e8"),
+    ("2", "1,1,1", "12",
+     "0c12002ccfa46c5e8e6b2bff4466215f6ad886e5f171f8e4ccebea6698b14e9e"),
+]
+
+
+@pytest.mark.parametrize("q,f,N,digest", TATE_GOLDEN_IRREDUCIBLE,
+                         ids=["q%s-f%s-N%s" % c[:3]
+                              for c in TATE_GOLDEN_IRREDUCIBLE])
+def test_tate_golden_stdout_irreducible_f(q, f, N, digest):
+    code, out = run_cli("tate", "--q", q, "--f", f, "--N", N)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# tate cells whose lattice exponential loses all precision on a shell
+# (e(w) zero to precision): they must end in a one-line precision error,
+# or succeed, never in a traceback.
+TATE_COLLAPSE_CELLS = (
+    [("2", f, N) for f in ("0,1", "1,1") for N in range(14, 31)]
+    + [("3", f, N) for f in ("0,1", "1,1") for N in (29, 30)]
+    + [("2", f, N) for f in ("0,0,1", "0,1,1", "1,0,1", "1,1,1")
+       for N in range(4, 8)])
+
+
+def test_tate_precision_collapse_exits_3(capsys):
+    outcomes = []
+    for q, f, N in TATE_COLLAPSE_CELLS:
+        code, _ = run_cli("tate", "--q", q, "--f", f, "--N", str(N))
+        err = capsys.readouterr().err
+        assert code in (0, 3), (q, f, N, code, err)
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == (1 if code == 3 else 0), (q, f, N, err)
+        outcomes.append(code)
+    assert 3 in outcomes
+
+
 def test_selftest_passes_and_is_deterministic():
     code1, out1 = run_cli("selftest")
     assert code1 == 0

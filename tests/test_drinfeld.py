@@ -3,8 +3,10 @@ import random
 import pytest
 
 from dforge.fields import field_make
-from dforge.poly import PolyRing, ResidueRing, residue_units
-from dforge.drinfeld import (DrinfeldModule, dm_make, dm_image, dm_twist,
+from dforge import linalg
+from dforge.poly import (PolyRing, ResidueRing, LocalizedRing,
+                         FunctionField, residue_units)
+from dforge.drinfeld import (CyclotomicRing, DrinfeldModule, dm_make, dm_image, dm_twist,
                              dm_torsion, level_make, torsion_basis,
                              carlitz_module, carlitz_cyclotomic,
                              rank1_universal, CharacteristicError,
@@ -311,3 +313,181 @@ def test_cyclotomic_kernel_matches_oracle(q, f):
         for _ in range(5):
             z = _mixed_element(R, rng)
             assert g(z) == cyclotomic_galois_oracle(R, a_res, z)
+
+
+# -- R' products on the support of their operands, against the dense
+#    product and the linear-algebra inverse --
+
+
+def dense_mul_oracle(R, a, b):
+    """a*b in R' the dense way: every coordinate lifted to one f-power, a
+    (2d-1)-slot convolution over A, reduction by lam^j mod Phi_f and one
+    normalisation per coordinate."""
+    A, Af, d = R.A, R.Af, R.d
+
+    def lift(z):
+        K = max(k for _, k in z)
+        return [A.mul(n, Af.fpow(K - k)) for n, k in z], K
+
+    na, ka = lift(a)
+    nb, kb = lift(b)
+    conv = [A.zero()] * (2 * d - 1)
+    for i, x in enumerate(na):
+        for j, y in enumerate(nb):
+            conv[i + j] = A.add(conv[i + j], A.mul(x, y))
+    out = conv[:d]
+    for j in range(d, 2 * d - 1):
+        for i, (r, _) in enumerate(R.reduce_power(j)):
+            out[i] = A.add(out[i], A.mul(conv[j], r))
+    return tuple(Af.normalize(n, ka + kb) for n in out)
+
+
+def solve_inv_oracle(R, a):
+    """a^-1 from the multiplication matrix of a over Frac(A); raises
+    ZeroDivisionError when a is no unit of R'."""
+    A, Af, d = R.A, R.Af, R.d
+    FF = FunctionField(A)
+    cols = [dense_mul_oracle(R, a, tuple(Af.one() if i == j else Af.zero()
+                                         for i in range(d)))
+            for j in range(d)]
+    M = [[(cols[j][i][0], Af.fpow(cols[j][i][1])) if cols[j][i][0]
+          else FF.zero() for j in range(d)] for i in range(d)]
+    x = linalg.solve(FF, M, [FF.one()] + [FF.zero()] * (d - 1))
+    if x is None:
+        raise ZeroDivisionError("zero divisor in R'")
+    out = []
+    for num, den in x:
+        if not num:
+            out.append(Af.zero())
+            continue
+        for e in range(A.deg(den) + 1):
+            b, r = A.divmod(Af.fpow(e), den)
+            if r == ():
+                out.append(Af.make(A.mul(num, b), e))
+                break
+        else:
+            raise ZeroDivisionError("inverse does not lie in R'")
+    return tuple(out)
+
+
+def _inv_or_raise(fn, R, a):
+    try:
+        return fn(R, a)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+SUPPORT_CASES = [(2, (0, 1)), (3, (1, 1)), (5, (0, 1)), (3, (1, 0, 1)),
+                 (2, (1, 1, 1)), (3, (0, 1, 1)), (3, (0, 0, 1))]
+SUPPORT_IDS = ["q2-T", "q3-T+1", "q5-T", "q3-T^2+1", "q2-T^2+T+1",
+               "q3-T^2+T", "q3-T^2"]
+
+
+def _af_elem(R, rng):
+    """A non-zero element of A_f whose numerator carries a prime factor
+    of f half of the time."""
+    A, Af = R.A, R.Af
+    num = ()
+    while not num:
+        num = A.rand(rng, rng.randrange(3))
+    if rng.random() < 0.5:
+        num = A.mul(num, rng.choice([p for p, _ in A.factor(R.f)]))
+    return Af.make(num, rng.randrange(4))
+
+
+def _shaped_elements(R, rng):
+    """Seeded elements of every support shape: zero, supported on lam^0
+    only, on one other coordinate, on several coordinates; units of A_f
+    (scalars over powers of f) and of R' (times lam), and non-units."""
+    Af, d = R.Af, R.d
+    out = [R.zero()]
+    for _ in range(3):
+        out.append(R.from_af(_af_elem(R, rng)))
+        out.append(R.from_af(Af.make((rng.randrange(1, R.q),),
+                                     rng.randrange(4))))
+        v = [Af.zero()] * d
+        v[rng.randrange(d)] = _af_elem(R, rng)
+        out.append(tuple(v))
+        out.append(tuple(_af_elem(R, rng) if rng.random() < 0.6
+                         else Af.zero() for _ in range(d)))
+        out.append(R.mul(out[-3], R.lam()))
+    return out
+
+
+@pytest.mark.parametrize("q,f", SUPPORT_CASES, ids=SUPPORT_IDS)
+def test_support_kernel_matches_dense_oracles(q, f):
+    """mul, add, qpow and inv equal the dense product, the per-coordinate
+    sum, the per-coordinate Frobenius and the linear-algebra inverse
+    exactly, on every support shape; non-units raise on both sides."""
+    R = CyclotomicRing(field_make(q, 1, 1), f)
+    rng = random.Random("support-%d-%s" % (q, f))
+    els = _shaped_elements(R, rng)
+    for a in els:
+        for b in els:
+            assert R.mul(a, b) == dense_mul_oracle(R, a, b)
+            assert R.add(a, b) == tuple(R.Af.add(x, y)
+                                        for x, y in zip(a, b))
+        aq = cyclotomic_qpow_oracle(R, a)
+        assert R.qpow(a) == aq
+        assert R.qpow(a, 2) == cyclotomic_qpow_oracle(R, aq)
+    units = 0
+    for a in els[::2]:
+        got = _inv_or_raise(CyclotomicRing.inv, R, a)
+        assert got == _inv_or_raise(solve_inv_oracle, R, a)
+        assert R.is_unit(a) == (got is not ZeroDivisionError)
+        units += got is not ZeroDivisionError
+    assert 0 < units < len(els[::2])
+
+
+def _counted(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("q,f", [(5, (1, 1)), (3, (1, 0, 1)),
+                                 (2, (1, 1, 1))],
+                         ids=["q5-T+1", "q3-T^2+1", "q2-T^2+T+1"])
+def test_af_product_over_prime_f_makes_no_normalize(monkeypatch, q, f):
+    """Over irreducible f, f divides no product of two numerators it
+    does not divide; with k = 0 on both sides there is nothing to strip."""
+    R = CyclotomicRing(field_make(q, 1, 1), f)
+    rng = random.Random(q)
+    A, Af = R.A, R.Af
+
+    def af_elem(k):
+        while True:
+            x = Af.make(A.rand(rng, 3), k)
+            if x[0] and x[1] == k:
+                return R.from_af(x)
+
+    pairs = []
+    for ka, kb in [(0, 0), (1, 1), (3, 2)] * 2:
+        a, b = af_elem(ka), af_elem(kb)
+        pairs.append((a, b, dense_mul_oracle(R, a, b)))
+    calls = _counted(monkeypatch, LocalizedRing, "normalize")
+    for a, b, want in pairs:
+        assert R.mul(a, b) == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("q,f", [(3, (0, 1)), (3, (0, 0, 1)),
+                                 (2, (1, 1, 1))],
+                         ids=["q3-T", "q3-T^2", "q2-T^2+T+1"])
+def test_inv_of_af_element_makes_no_solve(monkeypatch, q, f):
+    R = CyclotomicRing(field_make(q, 1, 1), f)
+    Af = R.Af
+    els = [R.from_af(Af.make((c,), k)) for c in range(1, q)
+           for k in range(3)]
+    calls = _counted(monkeypatch, linalg, "solve")
+    for a in els:
+        assert R.mul(a, R.inv(a)) == R.one()
+    with pytest.raises(ZeroDivisionError):
+        R.inv(R.from_af(Af.make((1, 1, 1, 1), 0)))
+    assert calls == []

@@ -306,3 +306,71 @@ def test_series_inv_inverts_the_low_coefficient_once(monkeypatch):
     si = s.inv()
     assert len(calls) == 1
     assert s.mul(si).agree(Series.one(R), 3)
+
+
+# -- normalisation for f = T^e, and the mul/qpow skips of A_f --
+
+TPOW_CELLS = [(p, e, fname) for p, e in [(2, 1), (3, 1), (2, 2)]
+              for fname in ("T^2", "T^3")]
+TPOW_MODULI = {"T^2": (0, 0, 1), "T^3": (0, 0, 0, 1)}
+
+
+@pytest.mark.parametrize("p,e,fname", TPOW_CELLS,
+                         ids=["F%d-%s" % (p ** e, fname)
+                              for p, e, fname in TPOW_CELLS])
+def test_normalize_t_power_matches_oracle(monkeypatch, p, e, fname):
+    """For f = T^e, normalize(f^j * g, k) equals the long-division loop
+    exactly, for j in 0..4 and k in -2..j+2, and divides nothing: g is
+    divisible by T half of the time, so low zero runs that are not a
+    multiple of e come up."""
+    A = PolyRing(field_make(p, e))
+    Af = LocalizedRing(A, TPOW_MODULI[fname])
+    rng = random.Random("tpow-%d-%d-%s" % (p, e, fname))
+    cases = []
+    for _ in range(60):
+        g = A.rand(rng, rng.randrange(5))
+        if rng.random() < 0.5:
+            g = A.mul(g, A.pow(A.gen(), rng.randrange(1, 4)))
+        for j in range(5):
+            num = A.mul(A.pow(Af.f, j), g)
+            cases += [(num, k) for k in range(-2, j + 3)]
+    want = [normalize_oracle(Af, num, k) for num, k in cases]
+    calls = _count_calls(monkeypatch, PolyRing, "divmod")
+    assert [Af.normalize(num, k) for num, k in cases] == want
+    assert calls == []
+
+
+LOCALIZED_SKIP_CELLS = {
+    "F5-T+1": (5, (1, 1)),                # irreducible
+    "F3-T^2+1": (3, (1, 0, 1)),           # irreducible
+    "F2-T^2+T+1": (2, (1, 1, 1)),         # irreducible
+    "F3-T^2+T": (3, (0, 1, 1)),           # squarefree, composite
+    "F2-T^3+1": (2, (1, 0, 0, 1)),        # squarefree, (T+1)(T^2+T+1)
+    "F3-T^2": (3, (0, 0, 1)),             # not squarefree
+    "F2-T^3+T^2": (2, (0, 0, 1, 1)),      # not squarefree, T^2 (T+1)
+}
+
+
+@pytest.mark.parametrize("fname", list(LOCALIZED_SKIP_CELLS))
+def test_localized_mul_qpow_equal_normalized_naive(fname):
+    """mul and qpow equal the long-division normalisation of the naive
+    product num_a * num_b / f^(ka+kb) and power num^(q^k) / f^(k q^k).
+    Numerators carry prime factors of f at every k, k = 0 included."""
+    q, f = LOCALIZED_SKIP_CELLS[fname]
+    A = PolyRing(field_make(q, 1, 1))
+    Af = LocalizedRing(A, f)
+    primes = [p for p, _ in A.factor(f)]
+    rng = random.Random("skip-" + fname)
+
+    def elem():
+        num = A.rand(rng, rng.randrange(4))
+        for _ in range(rng.randrange(3)):
+            num = A.mul(num, rng.choice(primes))
+        return Af.make(num, rng.randrange(4))
+
+    for _ in range(300):
+        (na, ka), (nb, kb) = a, b = elem(), elem()
+        assert Af.mul(a, b) == normalize_oracle(Af, A.mul(na, nb), ka + kb)
+        for k in (1, 2):
+            assert Af.qpow(a, k) == normalize_oracle(
+                Af, A.qpow(na, k), ka * q ** k)
