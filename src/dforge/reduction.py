@@ -388,7 +388,13 @@ def lattice_recover(phi_prime, s_approx, f, psi, N, torsion=None):
     sinv = tau_series_invert(s_approx, cap=max(s_approx.deg() + 2, 4))
     ell_pre = sinv.eval(u, ydom=LD)
     ell = psi.image(f).eval(ell_pre, ydom=LD)
-    if ell.is_zero() or ell.valuation() >= 0:
+    if ell.is_zero():
+        # each tau^k term of s^(-1) scales by u^(q^k), v(u) < 0, so the
+        # precision of the document is lost in the inverse
+        raise PrecisionError(
+            "lattice generator ell is zero to its precision %s at N=%d; "
+            "N must be raised" % (ell.prec, N))
+    if ell.valuation() >= 0:
         raise AssertionError("lattice generator fails v(ell) < 0")
     img = s_approx.eval(ell, ydom=LD).truncate(N - SLACK_BUDGET)
     if not img.is_zero():

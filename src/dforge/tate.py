@@ -13,11 +13,13 @@ the requested N; every congruence records the precision it achieved, and
 nothing is ever reported beyond it.
 
 The lattice exponential is assembled shell by shell: adjoining a lattice
-generator w to the kernel replaces e by e - e^q / e(w)^(q-1).  Shells stop
-contributing once (q-1) * |v_x(e(w))| exceeds the working precision; the
-valuation of e(w) drops monotonically with the shell index, so the first
-all-zero correction ends the recursion with every omitted factor provably
-congruent to 1.
+generator w to the kernel replaces e by e - e^q / e(w)^(q-1).  Every
+correction e(w)^(1-q) s_k^q has valuation at least (q-1) * |v_x(e(w))|,
+so a shell with (q-1) * |v_x(e(w))| >= W (the working precision)
+contributes nothing below W; the valuation of e(w) drops monotonically
+with the shell index, so the first shell that meets this bound ends the
+recursion, before its e(w)^(q-1) is inverted, with every omitted factor
+provably congruent to 1.
 """
 
 from .poly import ResidueRing, trim
@@ -100,8 +102,10 @@ def lattice_exp(L, N=None):
     """The truncated lattice exponential e = sum s_i tau^i over R'[[x]].
 
     Additive with s_0 = 1 and s_i = 0 mod x for i >= 1; kills every
-    included lattice point; shells beyond the stopping point contribute
-    nothing at the working precision.
+    included lattice point.  The first shell whose e(w) satisfies
+    (q-1) * |v_x(e(w))| >= W stops the recursion: each of its corrections
+    e(w)^(1-q) s_k^q (v_x(s_k) >= 0) would vanish below W, and so would
+    those of every later shell.
     """
     LD = L.LD
     W = L.work_prec
@@ -115,10 +119,19 @@ def lattice_exp(L, N=None):
                 "lattice exponential: e(w) on shell %d is zero to its "
                 "precision %s at working precision W=%d" % (i, g.prec, W))
         gq = LD.pow(g, q - 1)
+        if -gq.valuation() >= W:
+            # the stopping shell keeps only the inverse's first step, so
+            # a non-unit lowest coefficient still raises ZeroDivisionError
+            L.ring.inv(gq.leading())
+            if gq.prec is None:
+                # an exact e(w) means no shell has contributed yet
+                raise PrecisionError(
+                    "lattice exponential: shell %d already has "
+                    "(q-1)|v(e(w))| = %d >= W=%d; raise the working "
+                    "precision" % (i, -gq.valuation(), W))
+            break
         ginv = gq.inv(work_prec=W) if gq.prec is None else gq.inv()
         corr = [ginv.mul(LD.qpow(c, 1)).truncate(W) for c in e.coeffs]
-        if all(c.is_zero() for c in corr):
-            break
         new_coeffs = [e.coeff(0)]
         for k in range(1, len(e.coeffs) + 1):
             ck = e.coeff(k).truncate(W)
@@ -272,11 +285,13 @@ def j_expansion(te, a):
     d = A.deg(a)
     if d < 1:
         raise ValueError("j_a needs a nonconstant a")
-    q = te.ring.q
     phi_a = te.phi.image(a)
     bd = phi_a.coeff(d)
     b2d = phi_a.coeff(2 * d)
-    denom = te.LD.pow(bd, q ** d + 1)
+    # b_d^(q^d + 1) as Frobenius times b_d, one product: Frobenius is
+    # exact, and since v(b_d) < prec(b_d) the product's precision
+    # prec + q^d v is the one square-and-multiply reaches
+    denom = te.LD.qpow(bd, d).mul(bd)
     inv_j = b2d.mul(denom.inv())
     k = inv_j.valuation()
     if k is None:

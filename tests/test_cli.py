@@ -201,8 +201,7 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 
 def test_reduce_precision_collapse_has_no_traceback(tmp_path, capsys):
     # the q = 5, f = T specialisation over F_25 at N = 20: the lattice
-    # generator comes back zero to precision (ROADMAP item 1), which an
-    # internal check catches; exit 3 would be the precision contract
+    # generator comes back zero to precision, a precision error (exit 3)
     doc = {"q": "5", "m": "2", "f": ["0", "1"], "N": "20", "phi": [
         {"low": "0", "prec": None, "coeffs": ["1"]},
         {"low": "0", "prec": "50", "coeffs": ["4"]},
@@ -212,8 +211,33 @@ def test_reduce_precision_collapse_has_no_traceback(tmp_path, capsys):
     p = tmp_path / "q5.json"
     p.write_text(json.dumps(doc))
     code, out = run_cli("reduce", str(p))
-    assert code in (cli.EXIT_PRECISION, cli.EXIT_INTERNAL) and out == ""
+    assert code == cli.EXIT_PRECISION and out == ""
     assert capsys.readouterr().err.count("\n") == 1
+
+
+# The q >= 5 specialisations of the benchmark pool (F_25, F_49, F_64) whose
+# lattice generator is zero to precision: 14 documents, read from the pool.
+POOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "bench", "pool.json")
+REDUCE_COLLAPSE_STRATA = ("sp.q5.T.F25", "sp.q7.T.F49", "sp.q8.T.F64")
+
+
+def test_reduce_q5_plus_collapse_exits_3(tmp_path, capsys):
+    with open(POOL) as fh:
+        strata = json.load(fh)["reduce"]
+    docs = [job["doc"] for name in REDUCE_COLLAPSE_STRATA
+            for job in strata[name] if "defect" in job]
+    assert len(docs) == 14
+    for i, doc in enumerate(docs):
+        p = tmp_path / ("doc%d.json" % i)
+        p.write_text(json.dumps(doc))
+        code, out = run_cli("reduce", str(p))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_PRECISION and out == "", (i, code, err)
+        assert err.startswith("precision error: lattice generator ell is "
+                              "zero to its precision -")
+        assert "N=%s; N must be raised" % doc["N"] in err
+        assert err.count("\n") == 1
 
 
 def test_repeated_main_leaves_no_cyclic_garbage():
@@ -315,6 +339,23 @@ def test_tate_precision_collapse_exits_3(capsys):
         assert len(err.splitlines()) == (1 if code == 3 else 0), (q, f, N, err)
         outcomes.append(code)
     assert 3 in outcomes
+
+
+# every deg-1 tate cell for q <= 5 up to N = 30 ends in an answer or a
+# one-line precision error; no exception escapes the CLI
+TATE_GRID_DEG1 = [(str(q), f, str(N)) for q in (2, 3, 4, 5)
+                  for f in ("0,1", "1,1") for N in range(q, 31)]
+
+
+def test_tate_grid_deg1_exits_0_or_3(capsys, deadline):
+    assert len(TATE_GRID_DEG1) == 220
+    with deadline(120):
+        for q, f, N in TATE_GRID_DEG1:
+            code, _ = run_cli("tate", "--q", q, "--f", f, "--N", N)
+            err = capsys.readouterr().err
+            assert code in (0, 3), (q, f, N, code, err)
+            assert len(err.splitlines()) == (1 if code == 3 else 0), \
+                (q, f, N, err)
 
 
 def test_selftest_passes_and_is_deterministic():

@@ -1,8 +1,10 @@
 import pytest
 
+from dforge.drinfeld import rank1_universal
 from dforge.fields import field_make
-from dforge.poly import ResidueRing
-from dforge.series import PrecisionError
+from dforge.poly import ResidueRing, trim
+from dforge.series import PrecisionError, Series
+from dforge.skew import SkewPoly
 from dforge.tate import (tate_lattice, lattice_exp, tate_module,
                          j_expansion, functional_equation_precision,
                          h_sigma, h_sigma_verify, h_sigma_obstruction,
@@ -130,9 +132,101 @@ def test_j_expansion(setup):
 
 
 def test_precision_guard(uni_T):
-    with pytest.raises(PrecisionError):
+    # shell 0 (e = 1, so e(w) = ell is exact) already meets the bound
+    with pytest.raises(PrecisionError, match="shell 0 .*W=3"):
         L = tate_lattice(uni_T, work_prec=3)
         lattice_exp(L, N=9)
+
+
+# -- oracles: the lattice exponential and 1/j as first written ------------
+
+
+def lattice_exp_oracle(L):
+    """(e, contributing shells): invert e(w)^(q-1) on every shell and stop
+    at the first one whose corrections all vanish below W."""
+    LD = L.LD
+    W = L.work_prec
+    q = L.ring.q
+    e = SkewPoly.one(LD)
+    for i in range(16):
+        gq = LD.pow(e.eval(L.shell_point(i), ydom=LD), q - 1)
+        ginv = gq.inv(work_prec=W) if gq.prec is None else gq.inv()
+        corr = [ginv.mul(LD.qpow(c, 1)).truncate(W) for c in e.coeffs]
+        if all(c.is_zero() for c in corr):
+            return e, i
+        new_coeffs = [e.coeff(0)]
+        for k in range(1, len(e.coeffs) + 1):
+            new_coeffs.append(e.coeff(k).truncate(W).sub(corr[k - 1])
+                              .truncate(W))
+        e = SkewPoly(LD, new_coeffs)
+    raise AssertionError("oracle did not stabilize")
+
+
+def j_expansion_oracle(te, a):
+    """(k, alpha) with b_d^(q^d + 1) by square-and-multiply."""
+    a = trim(a)
+    d = te.A.deg(a)
+    phi_a = te.phi.image(a)
+    bd = phi_a.coeff(d)
+    inv_j = phi_a.coeff(2 * d).mul(
+        te.LD.pow(bd, te.ring.q ** d + 1).inv())
+    k = inv_j.valuation()
+    return k, inv_j.shift(-k)
+
+
+# (q, f, N): deg f = 1 for q = 2..5 and deg f = 2 for q = 2, 3
+ORACLE_CELLS = [(2, (0, 1), 12), (2, (1, 1), 9), (3, (0, 1), 9),
+                (3, (1, 1), 16), (4, (0, 1), 10), (4, (1, 1), 8),
+                (5, (0, 1), 8), (5, (1, 1), 6), (2, (0, 0, 1), 8),
+                (2, (1, 1, 1), 9), (3, (0, 0, 1), 9), (3, (2, 0, 1), 9)]
+
+
+@pytest.fixture(scope="module", params=ORACLE_CELLS,
+                ids=["q%d-f%s-N%d" % (q, "".join(map(str, f)), N)
+                     for q, f, N in ORACLE_CELLS])
+def oracle_cell(request):
+    q, f, N = request.param
+    p, e = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}[q]
+    uni = rank1_universal(field_make(p, e, 1), f)
+    return uni, N
+
+
+def test_lattice_exp_matches_oracle(oracle_cell):
+    # Series equality is coefficient for coefficient and precision for
+    # precision
+    uni, N = oracle_cell
+    e = lattice_exp(tate_lattice(uni, N=N), N=N)
+    want, _ = lattice_exp_oracle(tate_lattice(uni, N=N))
+    assert e.coeffs == want.coeffs
+
+
+def test_lattice_exp_inverts_only_contributing_shells(oracle_cell,
+                                                      monkeypatch):
+    # one Series.inv per shell that changes e; the stopping shell is
+    # decided by its valuation alone
+    uni, N = oracle_cell
+    _, contributing = lattice_exp_oracle(tate_lattice(uni, N=N))
+    calls = []
+    inv = Series.inv
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return inv(self, *args, **kwargs)
+
+    L = tate_lattice(uni, N=N)
+    monkeypatch.setattr(Series, "inv", counted)
+    lattice_exp(L, N=N)
+    assert len(calls) == contributing
+    assert sorted(L._shells) == list(range(contributing + 1))
+
+
+def test_j_expansion_matches_oracle(oracle_cell):
+    uni, N = oracle_cell
+    te = tate_module(tate_lattice(uni, N=N), N)
+    T = te.A.gen()
+    for a in (T, te.A.mul(T, T)):
+        k, alpha = j_expansion(te, a)
+        assert (k, alpha) == j_expansion_oracle(te, a)
 
 
 def test_h_sigma_identity(setup):
