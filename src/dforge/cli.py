@@ -41,6 +41,8 @@ class ConfigError(ValueError):
 
 def _parse_q(qstr):
     q = int(qstr)
+    if q < 2:
+        raise ConfigError("q = %s is not a prime power in range" % qstr)
     for p in (2, 3, 5, 7, 11, 13):
         e = 0
         n = q
@@ -102,16 +104,20 @@ def cmd_reduce(args, out):
     if missing:
         raise ConfigError("reduce input lacks required key(s): %s"
                           % ", ".join(missing))
-    p, e = _parse_q(doc["q"])
-    m = int(doc.get("m", "1"))
+    p, e = _parse_q(serialize.doc_int(doc["q"], "q"))
+    m = serialize.doc_int(doc.get("m", "1"), "m")
     field = field_make(p, e, m)
     K_base = field_make(p, e, 1)
-    f = _parse_f(",".join(doc["f"]) if isinstance(doc["f"], list)
-                 else doc["f"], K_base.size)
-    N = int(doc["N"])
+    f = doc["f"]
+    if not isinstance(f, str):
+        f = ",".join(str(serialize.doc_int(c, "f coefficient"))
+                     for c in serialize.doc_list(f, "f"))
+    f = _parse_f(f, K_base.size)
+    N = serialize.doc_int(doc["N"], "N")
     A = PolyRing(K_base)
     LD = LaurentDomain(field, default_prec=N + 1, var="x")
-    coeffs = [serialize.parse_series_field(c, field) for c in doc["phi"]]
+    coeffs = [serialize.parse_series_field(c, field)
+              for c in serialize.doc_list(doc["phi"], "phi")]
     if len(coeffs) < 2:
         raise ConfigError("phi needs at least a tau-coefficient")
     for c in coeffs:

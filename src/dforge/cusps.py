@@ -53,9 +53,6 @@ class MatrixRing:
         (a, b), (c, d) = s
         return R.sub(R.mul(a, d), R.mul(b, c))
 
-    def is_invertible(self, s):
-        return self.R.is_unit(self.det(s))
-
     def inv(self, s):
         R = self.R
         (a, b), (c, d) = s

@@ -9,10 +9,9 @@ phi_T.
 """
 
 from .fields import ExtField
-from .poly import PolyRing, ResidueRing, LocalizedRing, FunctionField, trim
+from .poly import PolyRing, ResidueRing, LocalizedRing, trim
 from .ring import Ring
 from .skew import SkewPoly, skew_kernel
-from . import linalg
 
 DEFAULT_TORSION_BOUND = 12
 
@@ -323,6 +322,14 @@ class CyclotomicRing(Ring):
     over A_f with basis 1, lam, ..., lam^(d-1), so a * b = 1 for a in
     A_f forces a * b_0 = 1 in A_f: a is a unit of R' exactly when it is
     a unit of A_f, with the same inverse.
+
+    Any other element is inverted by its norm.  R' tensored with
+    Frac(A) is the Carlitz cyclotomic field, Galois over Frac(A) with
+    group (A/fA)^* acting by lam -> C_u(lam) (Hayes, "Explicit class
+    field theory for rational function fields", Trans. AMS 189, 1974),
+    so c = prod_{u != 1} sigma_u(a) lies in R' and N(a) = a * c is fixed
+    by every sigma_u, hence lies in A_f.  Then a is a unit of R' exactly
+    when N(a) is a unit of A_f, and a^-1 = c * N(a)^-1.
     """
 
     def __init__(self, K, f):
@@ -337,6 +344,7 @@ class CyclotomicRing(Ring):
         self.phi_f = carlitz_cyclotomic(A, f)
         self.d = len(self.phi_f) - 1
         self._lampow = []  # lam^j mod Phi_f over A, extended on demand
+        self._conjugates = None  # sigma_u for the units u != 1, on demand
 
     def _lam_row(self, j):
         """lam^j mod Phi_f as a length-d tuple over A, cached."""
@@ -463,50 +471,35 @@ class CyclotomicRing(Ring):
             a = self._fold(conv, q * K)
         return a
 
-    def _ff(self):
-        return FunctionField(self.A)
-
-    def _af_to_ff(self, a):
-        num, k = a
-        return (num, self.Af.fpow(k)) if num else ((), (1,))
-
-    def _ff_to_af(self, x):
-        num, den = x
-        if not num:
-            return self.Af.zero()
-        for e in range(self.A.deg(den) + 1):
-            b, r = self.A.divmod(self.Af.fpow(e), den)
-            if r == ():
-                return self.Af.make(self.A.mul(num, b), e)
-        raise ZeroDivisionError("element does not lie in A_f")
+    def _norm(self, a):
+        """(c, N) with c the product of sigma_u(a) over the units u != 1
+        of A/fA, and N = a * c, the norm of a to A_f."""
+        if self._conjugates is None:
+            one = self.A.one()
+            self._conjugates = [self.galois(u) for u in
+                                ResidueRing(self.A, self.f).units()
+                                if u != one]
+        c = self.one()
+        for sigma in self._conjugates:
+            c = self.mul(c, sigma(a))
+        n = self.mul(a, c)
+        if not self._in_af(n):
+            raise AssertionError("norm to A_f has lam-coordinates")
+        return c, n[0]
 
     def is_unit(self, a):
-        try:
-            self.inv(a)
-            return True
-        except ZeroDivisionError:
-            return False
+        if self._in_af(a):
+            return self.Af.is_unit(a[0])
+        return self.Af.is_unit(self._norm(a)[1])
 
     def inv(self, a):
-        """The A_f inverse for an element of A_f; else the inverse via
-        the multiplication matrix over Frac(A), whose result must have
-        f-power denominators or a is not a unit of R'."""
+        """The A_f inverse for an element of A_f; else c / N(a) with
+        (c, N(a)) from ``_norm``: a is a unit of R' exactly when its norm
+        is a unit of A_f."""
         if self._in_af(a):
             return self.from_af(self.Af.inv(a[0]))
-        FF = self._ff()
-        d = self.d
-        cols = []
-        for j in range(d):
-            basis = tuple(self.Af.one() if i == j else self.Af.zero()
-                          for i in range(d))
-            cols.append(self.mul(a, basis))
-        M = [[self._af_to_ff(cols[j][i]) for j in range(d)]
-             for i in range(d)]
-        rhs = [FF.one()] + [FF.zero()] * (d - 1)
-        x = linalg.solve(FF, M, rhs)
-        if x is None:
-            raise ZeroDivisionError("zero divisor in R'")
-        return tuple(self._ff_to_af(c) for c in x)
+        c, n = self._norm(a)
+        return self.mul(c, self.from_af(self.Af.inv(n)))
 
     def in_invariant_subring(self, a):
         """True when a lies in the F_q^*-invariant subring A_f[lam^(q-1)]

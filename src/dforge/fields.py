@@ -24,10 +24,17 @@ Trans. Inf. Theory 36, 1990); adding 1 changes only the lowest base-p
 digit, so the Zech table costs O(Q) as well.  Larger fields multiply by
 schoolbook polynomial arithmetic over the base field and, for odd p, add
 digit by digit.  No floating point, no randomness.
+
+An extension's modulus is the least monic irreducible of its degree in
+``PolyRing.monic_polys`` order, found by Rabin's test run in
+``ResidueRing(PolyRing(base), m)``: the polynomial arithmetic is that of
+``dforge.poly``, not a second copy.  A modulus the caller supplies is
+checked by the same test.
 """
 
 import os
 
+from .poly import PolyRing, ResidueRing
 from .ring import Ring
 
 DEFAULT_MAX_Q = 3 ** 10
@@ -125,66 +132,6 @@ class PrimeField(Ring):
         return self.name
 
 
-# -- minimal polynomial helpers over an arbitrary field object, used only --
-# -- for finding/validating extension moduli (tuples of field elements,   --
-# -- little-endian, trimmed).                                             --
-
-def _ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pmul(F, a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-    return _ptrim(out)
-
-
-def _pmod(F, a, m):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1]
-        if c != 0:
-            k = len(a) - 1 - dm
-            for j in range(len(m)):
-                a[k + j] = F.sub(a[k + j], F.mul(c, m[j]))
-        a.pop()
-    return _ptrim(a)
-
-
-def _pgcd(F, a, b):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        # make b monic so _pmod applies
-        lead = b[-1]
-        if lead != 1:
-            il = F.inv(lead)
-            b = tuple(F.mul(c, il) for c in b)
-        a, b = b, _pmod(F, a, b)
-    return a
-
-
-def _ppowmod(F, a, n, m):
-    r = (1,)
-    a = _pmod(F, a, m)
-    while n:
-        if n & 1:
-            r = _pmod(F, _pmul(F, r, a), m)
-        a = _pmod(F, _pmul(F, a, a), m)
-        n >>= 1
-    return r
-
-
 def _prime_divisors(n):
     out = []
     d = 2
@@ -199,45 +146,32 @@ def _prime_divisors(n):
     return out
 
 
-def _is_irreducible(F, m):
-    """Rabin test for a monic polynomial m over the field object F."""
+def _is_irreducible(A, m):
+    """Rabin test for a monic polynomial m over the field A.K, A = A.K[z]:
+    z^(B^d) = z mod m, and z^(B^(d/l)) - z is a unit mod m for every
+    prime l dividing d = deg m, where B = |A.K|."""
     d = len(m) - 1
     if d < 1:
         return False
-    B = F.size
-    x = (0, 1)
-    # x^(B^d) == x mod m
-    xq = _ppowmod(F, x, B ** d, m)
-    diff = list(xq) + [0] * max(0, 2 - len(xq))
-    diff[1] = F.sub(diff[1], 1)
-    if _ptrim(diff) != ():
+    R = ResidueRing(A, m)
+    B = A.K.size
+    z = R.reduce(A.gen())
+    if R.sub(R.pow(z, B ** d), z) != R.zero():
         return False
-    for ell in _prime_divisors(d):
-        xe = _ppowmod(F, x, B ** (d // ell), m)
-        diff = list(xe) + [0] * max(0, 2 - len(xe))
-        diff[1] = F.sub(diff[1], 1)
-        if _pgcd(F, _ptrim(diff), m) != (1,):
-            return False
-    return True
+    return all(R.is_unit(R.sub(R.pow(z, B ** (d // ell)), z))
+               for ell in _prime_divisors(d))
 
 
 def least_irreducible(F, d):
     """Smallest-encoding monic irreducible of degree d over F.
 
-    Candidates are ordered by the integer encoding of their lower
-    coefficient vector, so the choice is deterministic and reproducible.
+    Candidates come in ``PolyRing.monic_polys`` order, the integer
+    encoding of their lower coefficient vector, so the choice is
+    deterministic and reproducible.
     """
-    B = F.size
-    if d == 1:
-        return (0, 1)
-    for code in range(B ** d):
-        lower = []
-        c = code
-        for _ in range(d):
-            lower.append(c % B)
-            c //= B
-        m = tuple(lower) + (1,)
-        if _is_irreducible(F, m):
+    A = PolyRing(F)
+    for m in A.monic_polys(d):
+        if _is_irreducible(A, m):
             return m
     raise RuntimeError("no irreducible of degree %d over %s" % (d, F))
 
@@ -262,9 +196,9 @@ class ExtField(Ring):
                 % (self.size, _max_field_size()))
         if modulus is None:
             modulus = least_irreducible(base, degree)
-        if len(modulus) - 1 != degree or modulus[-1] != 1:
+        elif len(modulus) - 1 != degree or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree %d" % degree)
-        if not _is_irreducible(base, tuple(modulus)):
+        elif not _is_irreducible(PolyRing(base), tuple(modulus)):
             raise ValueError("reducible modulus supplied")
         self.modulus = tuple(modulus)
         self.name = "F%d" % self.size
@@ -456,10 +390,12 @@ def field_make(p, e, m=1):
         raise ValueError("p must be prime")
     if e < 1 or m < 1:
         raise ValueError("e and m must be >= 1")
-    if p ** (e * m) > _max_field_size():
+    # p^(em) >= 2^(em): a large em exceeds the bound without forming p^(em)
+    bound = _max_field_size()
+    if e * m >= bound.bit_length() or p ** (e * m) > bound:
         raise ValueError(
             "requested field F_%d^%d exceeds size bound %d"
-            % (p ** e, m, _max_field_size()))
+            % (p ** e, m, bound))
     if e == 1:
         Fq = PrimeField(p)
     else:

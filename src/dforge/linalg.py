@@ -1,8 +1,9 @@
 """Dense linear algebra over any exact field-protocol domain.
 
 Matrices are lists of row lists.  Only Gaussian elimination at desk scale;
-used for skew kernels (over F_p), ring-element inversion in the cyclotomic
-ring (over F_q(T)) and small solved systems elsewhere.
+used for skew kernels (over F_p) and small solved systems elsewhere.  The
+cyclotomic ring R' does not invert through it: it inverts by its Galois
+norm to A_f (``drinfeld.CyclotomicRing``).
 """
 
 

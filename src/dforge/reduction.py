@@ -21,7 +21,7 @@ from fractions import Fraction
 from .poly import trim
 from .series import Series, PrecisionError, SLACK_BUDGET
 from .skew import SkewPoly, skew_kernel
-from .drinfeld import DrinfeldModule
+from .drinfeld import DrinfeldModule, CharacteristicError
 
 TAU_DEGREE_CAP = 12
 
@@ -102,13 +102,19 @@ def stable_normalize(phi, f):
     torsion valuation (= minus the smallest slope of the f-division
     polygon), xi = pi^(-k), and reduction_rank is the rank of
     phi_prime mod pi (2 means good reduction).  Raises NonIntegralSlope
-    when the f-torsion cannot be K_V-rational.
+    when the f-torsion cannot be K_V-rational, and CharacteristicError
+    when gamma(f) = f(theta) is not a unit of V.
     """
     f = trim(f)
     LD = phi.dom
     q = LD.q
     A = phi.A
     degf = A.deg(f)
+    gamma_f = phi.char_of(f)
+    if gamma_f.valuation() != 0:
+        raise CharacteristicError(
+            "f(theta) is not a unit of V (valuation %s): f must be away "
+            "from the characteristic" % gamma_f.valuation())
     slopes = newton_slopes(phi.image(f))
     for s, _ in slopes:
         if not isinstance(s, int):
@@ -276,6 +282,11 @@ def additive_roots(sp, expected=None, newton_cap=60):
         if any(c.prec is not None for c in sp.coeffs) else None
     c0_inv = c0.inv() if c0.prec is not None else \
         c0.inv(work_prec=(prec_floor or newton_cap))
+    if prec_floor is None:
+        # all of sp is exact: an exact Newton step grows the iterate
+        # q^deg(sp)-fold in length and never meets zero, so work to
+        # newton_cap, the precision c0^-1 is taken to above
+        c0_inv = c0_inv.truncate(newton_cap)
     slopes = newton_slopes(sp)
     vals = {}
     for i, c in enumerate(sp.coeffs):

@@ -22,8 +22,21 @@ def ser_int(n):
     return str(n)
 
 
-def parse_int(s):
-    return int(s)
+def doc_int(value, what):
+    """An integer field of an input document: a decimal string or a JSON
+    integer.  Any other JSON type is a ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError("%s must be a decimal string, got %s"
+                         % (what, json.dumps(value)[:40]))
+    return int(value)
+
+
+def doc_list(value, what):
+    """A list field of an input document, else a ValueError naming it."""
+    if not isinstance(value, list):
+        raise ValueError("%s must be a list, got %s"
+                         % (what, json.dumps(value)[:40]))
+    return value
 
 
 def ser_fqpoly(a):
@@ -66,9 +79,10 @@ def parse_series(doc, dom, coeff_parse):
     if missing:
         raise ValueError("series lacks required key(s): %s"
                          % ", ".join(missing))
-    prec = None if doc["prec"] is None else int(doc["prec"])
-    return Series(dom, int(doc["low"]),
-                  [coeff_parse(c) for c in doc["coeffs"]], prec)
+    prec = None if doc["prec"] is None else doc_int(doc["prec"], "prec")
+    return Series(dom, doc_int(doc["low"], "low"),
+                  [coeff_parse(c) for c in doc_list(doc["coeffs"], "coeffs")],
+                  prec)
 
 
 def ser_series_rp(s):
@@ -85,7 +99,7 @@ def ser_series_field(s):
 
 def parse_series_field(doc, field):
     def coeff(c):
-        i = int(c)
+        i = doc_int(c, "field element")
         if not 0 <= i < field.size:
             raise ValueError("field element %s is not an index in 0..%d"
                              % (c, field.size - 1))

@@ -177,12 +177,6 @@ class TateExpansion:
         self.achieved = achieved
         self.LD = lattice.LD
 
-    def k_delta(self):
-        v = self.delta.valuation()
-        if v is None:
-            raise PrecisionError("Delta is zero to precision; k unresolved")
-        return v
-
     def level(self, validate=False):
         degf = self.A.deg(self.f)
         window = series_canon(-(self.ring.q ** degf), self.N + 1 - SLACK_BUDGET)

@@ -189,6 +189,75 @@ def test_reduce_series_missing_key(tmp_path, capsys):
     assert run_cli("reduce", str(p)) == (2, "")
 
 
+# one wrongly typed field each, given by its path in the document; every
+# one used to escape as a TypeError or AttributeError with a traceback
+WRONG_TYPE_DOCS = [(("phi",), 5), (("phi", 1, "coeffs"), 5), (("N",), None),
+                   (("phi", 1, "low"), [1]), (("q",), [3]), (("f",), 5)]
+
+
+@pytest.mark.parametrize("path,value", WRONG_TYPE_DOCS,
+                         ids=[path[-1] for path, _ in WRONG_TYPE_DOCS])
+def test_reduce_wrongly_typed_field_exits_2(tmp_path, capsys, path, value):
+    doc = _reduce_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    p = tmp_path / "wrong_type.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_cli("reduce", str(p))
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert err.startswith("error: %s must be a " % path[-1])
+    assert err.count("\n") == 1
+
+
+def test_reduce_characteristic_dividing_f_exits_4(tmp_path, capsys):
+    # theta = x and theta = 0 with f = T: f(theta) is no unit of V, so
+    # the f-torsion cannot reduce to A/fA
+    for theta in ({"low": "1", "prec": None, "coeffs": ["1"]},
+                  {"low": "0", "prec": None, "coeffs": []}):
+        doc = {"q": "2", "m": "1", "f": ["0", "1"], "N": "4", "phi": [
+            theta, {"low": "0", "prec": None, "coeffs": ["1"]}]}
+        p = tmp_path / "char.json"
+        p.write_text(json.dumps(doc))
+        code, out = run_cli("reduce", str(p))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_MATH and out == "", err
+        assert err.startswith("error: f(theta) is not a unit of V")
+        assert err.count("\n") == 1
+
+
+def test_reduce_all_exact_document_is_bounded(tmp_path, capsys, deadline):
+    # every series exact: the Newton refinement of the torsion roots used
+    # to iterate on exact series whose length grew eightfold per step
+    exact = [["2"], ["1", "6", "3", "6", "3", "1"], ["6", "4", "4"],
+             ["5", "6", "3", "6", "3", "1"]]
+    doc = {"q": "2", "m": "3", "f": ["1", "1"], "N": "48",
+           "phi": [{"low": low, "prec": None, "coeffs": c}
+                   for low, c in zip(("0", "-3", "6", "-3"), exact)]}
+    p = tmp_path / "exact.json"
+    p.write_text(json.dumps(doc))
+    with deadline(10):
+        code, out = run_cli("reduce", str(p))
+    assert code == cli.EXIT_MATH and out == ""
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_out_of_range_q_and_m_exit_2(tmp_path, capsys, deadline):
+    # q = 0 looped for ever looking for its prime; m = 10^12 formed
+    # p^(e m) before comparing it with the size bound, one integer power
+    # that the deadline cannot interrupt
+    with deadline(10):
+        assert run_cli("census", "--q", "0", "--f", "0,1") == (2, "")
+        doc = _reduce_doc()
+        doc["m"] = str(10 ** 12)
+        p = tmp_path / "huge_m.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli("reduce", str(p)) == (2, "")
+    assert capsys.readouterr().err.count("\n") == 2
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     def failing(*args, **kwargs):
         raise AssertionError("invariant broken")

@@ -377,10 +377,18 @@ def _inv_or_raise(fn, R, a):
         return ZeroDivisionError
 
 
+# q = 4 runs the norm inverse over an ExtField: the encoding 2 is a
+# primitive cube root of unity, so T^2+T+1 = (T+2)(T+3) over F_4
 SUPPORT_CASES = [(2, (0, 1)), (3, (1, 1)), (5, (0, 1)), (3, (1, 0, 1)),
-                 (2, (1, 1, 1)), (3, (0, 1, 1)), (3, (0, 0, 1))]
+                 (2, (1, 1, 1)), (3, (0, 1, 1)), (3, (0, 0, 1)),
+                 (4, (0, 1)), (4, (2, 1)), (4, (1, 1, 1))]
 SUPPORT_IDS = ["q2-T", "q3-T+1", "q5-T", "q3-T^2+1", "q2-T^2+T+1",
-               "q3-T^2+T", "q3-T^2"]
+               "q3-T^2+T", "q3-T^2", "q4-T", "q4-T+w", "q4-T^2+T+1"]
+
+
+def _fq(q):
+    """F_q for a prime power q < 8."""
+    return field_make(2, 2, 1) if q == 4 else field_make(q, 1, 1)
 
 
 def _af_elem(R, rng):
@@ -419,7 +427,7 @@ def test_support_kernel_matches_dense_oracles(q, f):
     """mul, add, qpow and inv equal the dense product, the per-coordinate
     sum, the per-coordinate Frobenius and the linear-algebra inverse
     exactly, on every support shape; non-units raise on both sides."""
-    R = CyclotomicRing(field_make(q, 1, 1), f)
+    R = CyclotomicRing(_fq(q), f)
     rng = random.Random("support-%d-%s" % (q, f))
     els = _shaped_elements(R, rng)
     for a in els:
@@ -490,4 +498,28 @@ def test_inv_of_af_element_makes_no_solve(monkeypatch, q, f):
         assert R.mul(a, R.inv(a)) == R.one()
     with pytest.raises(ZeroDivisionError):
         R.inv(R.from_af(Af.make((1, 1, 1, 1), 0)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("q,f", [(3, (1, 1)), (3, (1, 0, 1)), (4, (0, 1)),
+                                 (2, (1, 1, 1))],
+                         ids=["q3-T+1", "q3-T^2+1", "q4-T", "q2-T^2+T+1"])
+def test_inv_outside_af_makes_no_solve(monkeypatch, q, f):
+    """Outside A_f, inv and is_unit go through the norm to A_f: no linear
+    system over Frac(A) is solved."""
+    R = CyclotomicRing(_fq(q), f)
+    Af = R.Af
+    lam = R.lam()
+    unit = R.mul(R.from_af(Af.make((1,), 2)), lam)  # lam / f^2
+    non_unit = R.add(R.one(), R.mul(R.from_af(Af.make(R.f, 0)), lam))
+    rng = random.Random("norm-%d-%s" % (q, f))
+    mixed = [e for e in _shaped_elements(R, rng) if not R._in_af(e)]
+    want = {e: _inv_or_raise(solve_inv_oracle, R, e)
+            for e in [unit, non_unit] + mixed}
+    assert want[unit] is not ZeroDivisionError
+    assert want[non_unit] is ZeroDivisionError
+    calls = _counted(monkeypatch, linalg, "solve")
+    for a, a_inv in want.items():
+        assert _inv_or_raise(CyclotomicRing.inv, R, a) == a_inv
+        assert R.is_unit(a) == (a_inv is not ZeroDivisionError)
     assert calls == []

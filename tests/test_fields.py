@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from dforge.fields import field_make, embed, ExtField, PrimeField
+from dforge.fields import (field_make, embed, least_irreducible, ExtField,
+                           PrimeField, DEFAULT_MAX_Q)
+from dforge.poly import PolyRing
 
 
 def test_f9_structure():
@@ -72,6 +74,44 @@ def test_reducible_modulus_rejected():
     F3 = PrimeField(3)
     with pytest.raises(ValueError):
         ExtField(F3, 2, modulus=(0, 0, 1))  # z^2 is reducible
+
+
+def test_supplied_modulus_of_wrong_shape_rejected():
+    F3 = PrimeField(3)
+    for modulus in [(1, 0, 1, 1),   # irreducible, degree 3 for degree 2
+                    (2, 0, 2),      # 2 (z^2 + 1): irreducible, not monic
+                    (1, 1)]:        # degree 1
+        with pytest.raises(ValueError):
+            ExtField(F3, 2, modulus=modulus)
+    assert ExtField(F3, 2, modulus=(1, 0, 1)).modulus == (1, 0, 1)
+
+
+def _extension_triples():
+    """(p, e, m) with e * m > 1 for every extension field of at most
+    DEFAULT_MAX_Q elements."""
+    for p in range(2, int(DEFAULT_MAX_Q ** 0.5) + 1):
+        if any(p % d == 0 for d in range(2, p)):
+            continue
+        for e in range(1, 16):
+            for m in range(1, 16):
+                if e * m > 1 and p ** (e * m) <= DEFAULT_MAX_Q:
+                    yield p, e, m
+
+
+def test_moduli_are_least_irreducibles_by_factoring():
+    """Every extension up to DEFAULT_MAX_Q elements is built on the first
+    ``monic_polys`` candidate that trial-division factoring calls
+    irreducible, so the Rabin test picks the same modulus."""
+    count = 0
+    for p, e, m in _extension_triples():
+        F = field_make(p, e, m)
+        A = PolyRing(F.base)
+        want = next(g for g in A.monic_polys(F.degree)
+                    if A.factor(g) == [(g, 1)])
+        assert F.modulus == want == least_irreducible(F.base, F.degree), \
+            (p, e, m)
+        count += 1
+    assert count == 212
 
 
 def test_size_bound_enforced():
