@@ -146,7 +146,8 @@ class LevelStructure:
     """A level f-structure: images of the standard basis of (A/fA)^r.
 
     ``canon`` maps a point to a hashable canonical key (identity for
-    field elements; a truncation key for series points).
+    field elements; a coefficient window from ``series.series_canon`` or
+    ``series.torsion_canon`` for series points).
     """
 
     def __init__(self, phi, f, images, canon=None, validate=True):

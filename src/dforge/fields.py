@@ -421,13 +421,10 @@ def embed(src, dst):
     if getattr(dst, "base", None) != src.base:
         raise ValueError("fields are not towers over a common base")
     # find least root of src.modulus in dst
-    mod = src.modulus
+    dst_x = PolyRing(dst)
     root = None
     for cand in dst.elements():
-        acc = 0
-        for c in reversed(mod):
-            acc = dst.add(dst.mul(acc, cand), c)
-        if acc == 0:
+        if dst_x.eval(src.modulus, cand) == 0:
             root = cand
             break
     if root is None:

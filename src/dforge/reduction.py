@@ -19,9 +19,10 @@ coefficientwise.
 from fractions import Fraction
 
 from .poly import trim
-from .series import Series, PrecisionError, SLACK_BUDGET
+from .series import (Series, PrecisionError, SLACK_BUDGET, series_canon,
+                     torsion_canon)
 from .skew import SkewPoly, skew_kernel
-from .drinfeld import DrinfeldModule, CharacteristicError
+from .drinfeld import DrinfeldModule, CharacteristicError, LevelStructure
 
 TAU_DEGREE_CAP = 12
 
@@ -260,10 +261,6 @@ def tau_series_invert(s, cap=None):
 # -- rational roots of additive polynomials over K_V ----------------------
 
 
-def _series_key(s, window_lo, window_hi):
-    return tuple(s.coeff(k) for k in range(window_lo, window_hi))
-
-
 def additive_roots(sp, expected=None, newton_cap=60):
     """All K_V-rational roots of the additive polynomial sp, found slope
     by slope: the residual face polynomial's kernel over the residue
@@ -316,7 +313,8 @@ def additive_roots(sp, expected=None, newton_cap=60):
     # so the window [-max slope, max(-slope)+1) separates all of them
     window_lo = min([-s for s in int_slopes] + [-1]) - 1
     window_hi = max([-s for s in int_slopes] + [0]) + 1
-    seen = {_series_key(roots[0], window_lo, window_hi)}
+    key = series_canon(window_lo, window_hi)
+    seen = {key(roots[0])}
     for s, _length in slopes:
         if not isinstance(s, int):
             continue
@@ -341,15 +339,14 @@ def additive_roots(sp, expected=None, newton_cap=60):
             z = refine(z0)
             if z is None:
                 continue
-            key = _series_key(z, window_lo, window_hi)
-            if key in seen:
+            if key(z) in seen:
                 continue
             # close under the F_q-span with the existing roots
             new_roots = []
             for r in roots:
                 for cc in range(1, q):
                     cand = r.add(z.scalar_mul(kappa.scalar(cc)))
-                    ck = _series_key(cand, window_lo, window_hi)
+                    ck = key(cand)
                     if ck not in seen:
                         seen.add(ck)
                         new_roots.append(cand)
@@ -444,15 +441,21 @@ def triple_extract(phi, level, N):
     phi_prime, k, rrank, xi = stable_normalize(phi, f)
     if rrank != 1:
         raise NoLattice("stable reduction has rank %d, not 1" % rrank)
-    lv = LevelTwist(level, phi_prime, xi)
+    # the level structure of xi phi xi^-1 scales the images by xi; its
+    # torsion points fix the window that keys them
+    twisted = LevelStructure(phi_prime, f,
+                             [img.mul(xi) for img in level.images],
+                             validate=False)
+    Rf = twisted.R
+    torsion = [twisted.map((a, b)) for a in Rf.elements()
+               for b in Rf.elements()]
+    lv = LevelStructure(phi_prime, f, twisted.images,
+                        canon=torsion_canon(torsion), validate=False)
     approx = drinfeld_approx(phi_prime, N)
-    torsion = [lv.map((a, b)) for a in lv.R.elements()
-               for b in lv.R.elements()]
     ell, u = lattice_recover(phi_prime, approx.s, f, approx.psi, N,
                              torsion=torsion)
     # integral torsion of psi over V and its generators
     psi_tor = additive_roots(approx.psi.image(f), expected=q ** degf)
-    Rf = lv.R
     mu1 = None
     for m in psi_tor:
         if m.is_zero():
@@ -479,48 +482,3 @@ def triple_extract(phi, level, N):
     }
     return Triple(approx.psi, mu1, ell, k, xi, report), approx
 
-
-class LevelTwist:
-    """The level structure of the twisted module xi phi xi^-1: images
-    scale by xi; coordinates are resolved against the twisted span."""
-
-    def __init__(self, level, phi_prime, xi):
-        self.phi = phi_prime
-        self.f = level.f
-        self.R = level.R
-        self.A = level.A
-        self.images = tuple(img.mul(xi) for img in level.images)
-        self._span = None
-        self._window = None
-
-    def map(self, vec):
-        dom = self.phi.dom
-        acc = dom.zero()
-        for v, u in zip(vec, self.images):
-            pa = self.phi.image(trim(v))
-            acc = acc.add(pa.eval(u, ydom=dom))
-        return acc
-
-    def _ensure_span(self):
-        if self._span is None:
-            R = self.R
-            raw = []
-            for ia in range(R.size):
-                for ib in range(R.size):
-                    vec = (R.from_index(ia), R.from_index(ib))
-                    raw.append((vec, self.map(vec)))
-            vals = [p.valuation() for _, p in raw if not p.is_zero()]
-            # differences of torsion points are torsion points, so the
-            # window just past the largest valuation separates them all
-            lo = min(vals) - 1
-            hi = max(vals) + 1
-            self._window = (lo, hi)
-            self._span = {_series_key(p, lo, hi): vec for vec, p in raw}
-
-    def coordinates(self, point):
-        self._ensure_span()
-        lo, hi = self._window
-        key = _series_key(point, lo, hi)
-        if key not in self._span:
-            raise ValueError("point not in the twisted torsion span")
-        return self._span[key]

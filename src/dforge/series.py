@@ -354,3 +354,23 @@ class LaurentDomain(Ring):
 
     def __repr__(self):
         return "%s((%s))" % (self.cdom, self.var)
+
+
+def series_canon(window_lo, window_hi):
+    """Canonical key for series points: the coefficient window
+    [window_lo, window_hi).  Two points mapping to the same key agree on
+    the whole window."""
+    def canon(s):
+        if isinstance(s, Series):
+            return tuple(s.coeff(k) for k in range(window_lo, window_hi))
+        return ("const", s)
+    return canon
+
+
+def torsion_canon(points):
+    """``series_canon`` on the window that separates a set of torsion
+    points: differences of torsion points are torsion points, so the
+    window from one below the least valuation to one past the largest
+    tells them all apart."""
+    vals = [p.valuation() for p in points if not p.is_zero()]
+    return series_canon(min(vals) - 1, max(vals) + 1)

@@ -22,8 +22,9 @@ recursion, before its e(w)^(q-1) is inverted, with every omitted factor
 provably congruent to 1.
 """
 
-from .poly import ResidueRing, trim
-from .series import Series, LaurentDomain, PrecisionError, SLACK_BUDGET
+from .poly import PolyRing, ResidueRing, trim
+from .series import (Series, LaurentDomain, PrecisionError, SLACK_BUDGET,
+                     series_canon)
 from .skew import SkewPoly
 from .drinfeld import DrinfeldModule, LevelStructure
 
@@ -32,17 +33,6 @@ SHELL_CAP = 16
 
 def default_work_prec(A, f, N):
     return N + 1 + A.K.size ** (A.deg(f) + 1) + SLACK_BUDGET
-
-
-def series_canon(window_lo, window_hi):
-    """Canonical key for series points: the coefficient window
-    [window_lo, window_hi).  Two points mapping to the same key agree on
-    the whole window."""
-    def canon(s):
-        if isinstance(s, Series):
-            return tuple(s.coeff(k) for k in range(window_lo, window_hi))
-        return ("const", s)
-    return canon
 
 
 class TateLattice:
@@ -507,25 +497,20 @@ class SpecializedTate:
         self.lam01 = lam01
 
 
-def find_specialization_point(uni, field, want_nonprime=False):
+def find_specialization_point(uni, field):
     """Deterministic (t, lam_root) with f(t) != 0 and
     Phi_f(lam_root; T=t) = 0 in the given field."""
     A = uni.ring.A
     from .drinfeld import carlitz_cyclotomic
     phi_poly = carlitz_cyclotomic(A, uni.f)
-    q = A.K.size
+    Fx = PolyRing(field)
     for t in field.elements():
         ft = A.eval(uni.f, t, dom=field)
         if ft == field.zero():
             continue
-        if want_nonprime and t < q:
-            continue
         coeffs = [A.eval(c, t, dom=field) for c in phi_poly]
         for u in field.elements():
-            acc = field.zero()
-            for cf in reversed(coeffs):
-                acc = field.add(field.mul(acc, u), cf)
-            if acc == field.zero():
+            if Fx.eval(coeffs, u) == field.zero():
                 return t, u
     raise ValueError("no specialization point in this field")
 

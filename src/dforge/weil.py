@@ -13,10 +13,10 @@ It is alternating and A/fA-bilinear, and GL_2-reindexing of lambda scales
 it by the determinant, which is the equivariance the moduli map needs.
 """
 
-from .fields import ExtField
-from .poly import PolyRing, ResidueRing, trim
+from .poly import PolyRing, trim
+from .series import torsion_canon
 from .skew import SkewPoly, skew_kernel
-from .drinfeld import DrinfeldModule
+from .drinfeld import DrinfeldModule, LevelStructure
 
 
 def exterior_power2(phi):
@@ -95,10 +95,13 @@ def moore_pair(dom, u, v):
 class PairingContext:
     """Everything needed to evaluate w_f on the f-torsion of phi.
 
-    Carries a reference level structure (the coordinate chart),, the
-    exterior-square module psi over a field splitting psi[f], and the
-    deterministic generator t0 (least encoding among A/fA-generators of
-    the kernel).
+    Carries a reference level structure (the coordinate chart), the
+    exterior-square module psi, and the deterministic generator t0
+    (least encoding among A/fA-generators of the kernel psi[f]).
+
+    psi is evaluated over phi's own field: psi[f] is the image of the
+    Weil pairing on phi[f], so it is rational over every field that
+    carries a level structure of phi.
     """
 
     def __init__(self, phi, level, psi, psi_field, t0):
@@ -114,38 +117,22 @@ class PairingContext:
         f = level.f
         psi = exterior_power2(phi)
         dom = phi.dom
-        A = phi.A
-        degf = A.deg(f)
-        want = dom.q ** degf
+        want = dom.q ** phi.A.deg(f)
         if hasattr(dom, "cdom"):
             # Laurent-series domain: rational roots by slope refinement,
             # keyed on the window that separates torsion points
             from .reduction import additive_roots
             pts = additive_roots(psi.image(f), expected=want)
-            vals = [p.valuation() for p in pts if not p.is_zero()]
-            lo, hi = min(vals) - 1, max(vals) + 1
-
-            def canon(s):
-                return tuple(s.coeff(k) for k in range(lo, hi))
-
-            t0 = _least_generator(psi, f, pts, canon=canon)
-            return cls(phi, level, psi, dom, t0)
-        pts = skew_kernel(psi.image(f))
-        psi_lift, field = psi, dom
-        if len(pts) != want:
-            # lift to an extension of the torsion field (tower over dom,
-            # so encodings of phi's data stay valid)
-            base = dom
-            for k in range(2, 13):
-                field = ExtField(base, k, q=base.q)
-                psi_lift = psi.map_coeffs(lambda c: c, field)
-                pts = skew_kernel(psi_lift.image(f))
-                if len(pts) == want:
-                    break
-            else:
-                raise ValueError("psi[f] did not split within the bound")
-        t0 = _least_generator(psi_lift, f, pts)
-        return cls(phi, level, psi_lift, field, t0)
+            canon = torsion_canon(pts)
+        else:
+            pts = skew_kernel(psi.image(f))
+            if len(pts) != want:
+                raise ValueError("psi[f] has %d of %d points over phi's "
+                                 "field, so phi has no level f-structure "
+                                 "over it" % (len(pts), want))
+            canon = None
+        t0 = _least_generator(psi, f, pts, canon)
+        return cls(phi, level, psi, dom, t0)
 
     def pair(self, u, v):
         """w(u, v) = psi_{det(coords)}(t0); alternating, A/fA-bilinear."""
@@ -156,24 +143,23 @@ class PairingContext:
         return self.psi.image(trim(det)).eval(self.t0, ydom=self.psi_field)
 
 
-def _least_generator(psi, f, points, canon=None):
+def _least_generator(psi, f, points, canon):
     """Least torsion point generating psi[f] as an A/fA-module.
 
-    ``canon`` keys points for distinctness (needed over series domains,
-    where structural equality is finer than mathematical agreement);
-    it also fixes the deterministic order."""
-    A = psi.A
-    R = ResidueRing(A, f)
+    ``canon`` keys points for distinctness (None over a field; needed
+    over series domains, where structural equality is finer than
+    mathematical agreement); it also fixes the deterministic order.
+    Each candidate is tested by charting psi[f] with it."""
     key = canon or (lambda t: t)
-    want = len(points)
     zero_key = key(psi.dom.zero())
     for t in sorted(points, key=key):
         if key(t) == zero_key:
             continue
-        span = {key(psi.image(trim(rep)).eval(t, ydom=psi.dom))
-                for rep in R.elements()}
-        if len(span) == want:
-            return t
+        try:
+            LevelStructure(psi, f, (t,), canon)
+        except ValueError:
+            continue
+        return t
     raise ValueError("kernel has no single generator (not cyclic?)")
 
 

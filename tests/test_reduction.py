@@ -180,6 +180,19 @@ def test_triple_extract_round_trip(spec9, triple9):
     assert triple.report["approx_achieved"] >= 5
 
 
+def test_triple_extract_pins(triple9):
+    # exact mu1, ell and report, so that any change in how the twisted
+    # torsion is charted and keyed shows here
+    _, triple, _ = triple9
+    assert (triple.mu1.low, triple.mu1.coeffs, triple.mu1.prec) == \
+        (0, (1,), None)
+    assert (triple.ell.low, triple.ell.coeffs, triple.ell.prec) == \
+        (-3, (2, 0, 1), 1)
+    assert triple.report == {"k": 0, "reduction_rank": 1,
+                             "approx_achieved": 10, "tau_degree": 2,
+                             "ell_valuation": -3}
+
+
 def test_triple_sigma_invariance(spec9, triple9):
     # det(sigma) in F_q^* leaves the triple unchanged up to F_q^*
     lvl, triple, _ = triple9

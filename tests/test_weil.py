@@ -6,7 +6,8 @@ import pytest
 from dforge.fields import field_make
 from dforge.poly import PolyRing, FunctionField, trim
 from dforge.skew import skew_kernel
-from dforge.drinfeld import (DrinfeldModule, dm_torsion, torsion_basis)
+from dforge.drinfeld import (DrinfeldModule, LevelStructure, dm_torsion,
+                              torsion_basis)
 from dforge.weil import (exterior_power2, motive_oracle, moore_pair,
                          PairingContext, weil_map)
 from dforge.cusps import MatrixRing
@@ -186,3 +187,48 @@ def test_weil_map_over_series_domain(tate_T):
     assert mu1.valuation() == ctx.t0.valuation()
     window = min(p for p in (mu1.prec, ctx.t0.prec, 2) if p is not None)
     assert mu1.agree(ctx.t0, upto=window)
+
+
+# -- PairingContext pins: t0 and psi fix every pairing value ---------------
+
+
+def _series_pin(s):
+    return (s.low, tuple(s.coeffs), s.prec)
+
+
+@pytest.mark.parametrize("f,size,t0", [((0, 1), 9, 3), ((0, 0, 1), 729, 37)])
+def test_pairing_context_pins_field(A, F3, f, size, t0):
+    # the cells of pairing_T and of acceptance criterion 3: phi_T = 2 +
+    # tau^2 over F_3, charted on its split f-torsion
+    phi = DrinfeldModule(A, F3, (2, 0, 1))
+    tor = dm_torsion(phi, f)
+    ctx = PairingContext.build(tor.phi_ext, torsion_basis(tor))
+    assert ctx.psi_field is tor.phi_ext.dom
+    assert ctx.psi_field.size == size
+    assert ctx.t0 == t0
+    assert ctx.psi.phi_T.coeffs == (2, 2)
+
+
+def test_pairing_context_pins_series(tate_T):
+    from dforge.tate import specialize, series_canon
+    F9 = field_make(3, 1, 2)
+    sp = specialize(tate_T, F9)
+    lvl = LevelStructure(sp.phi, (0, 1), (sp.lam10, sp.lam01),
+                         canon=series_canon(-3, 8), validate=False)
+    ctx = PairingContext.build(sp.phi, lvl)
+    assert ctx.psi_field is sp.phi.dom
+    assert ctx.psi_field.cdom.size == 9
+    assert _series_pin(ctx.t0) == (
+        -3, (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2), 14)
+    assert [_series_pin(c) for c in ctx.psi.phi_T.coeffs] == [
+        (0, (1,), None),
+        (6, (2, 0, 1, 0, 0, 0, 2, 0, 1, 0, 0, 0, 0, 0, 1), 23)]
+
+
+def test_pairing_context_rejects_psi_not_rational(A, F3):
+    # psi_T = 2 - tau has only the zero T-torsion point over F_3, so phi
+    # carries no level T-structure there; the images are not checked
+    phi = DrinfeldModule(A, F3, (2, 0, 1))
+    lvl = LevelStructure(phi, A.gen(), (1, 2), validate=False)
+    with pytest.raises(ValueError, match="1 of 3 points"):
+        PairingContext.build(phi, lvl)
