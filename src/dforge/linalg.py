@@ -1,9 +1,9 @@
 """Dense linear algebra over any exact field-protocol domain.
 
-Matrices are lists of row lists.  Only Gaussian elimination at desk scale;
-used for skew kernels (over F_p) and small solved systems elsewhere.  The
-cyclotomic ring R' does not invert through it: it inverts by its Galois
-norm to A_f (``drinfeld.CyclotomicRing``).
+Matrices are lists of row lists.  Only Gaussian elimination at desk scale,
+for skew kernels (over F_p).  The cyclotomic ring R' does not invert
+through it: it inverts by its Galois norm to A_f
+(``drinfeld.CyclotomicRing``).
 """
 
 
@@ -46,18 +46,3 @@ def nullspace(dom, M, ncols):
         basis.append(v)
     return basis
 
-
-def solve(dom, M, rhs):
-    """One solution x of M x = rhs, or None if inconsistent."""
-    n = len(M)
-    ncols = len(M[0]) if M else 0
-    aug = [list(M[i]) + [rhs[i]] for i in range(n)]
-    pivots = _rref(dom, aug, ncols)
-    for row in aug:
-        if all(x == dom.zero() for x in row[:ncols]) and \
-                row[ncols] != dom.zero():
-            return None
-    x = [dom.zero()] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][ncols]
-    return x

@@ -13,13 +13,11 @@ the requested N; every congruence records the precision it achieved, and
 nothing is ever reported beyond it.
 
 The lattice exponential is assembled shell by shell: adjoining a lattice
-generator w to the kernel replaces e by e - e^q / e(w)^(q-1).  Every
-correction e(w)^(1-q) s_k^q has valuation at least (q-1) * |v_x(e(w))|,
-so a shell with (q-1) * |v_x(e(w))| >= W (the working precision)
-contributes nothing below W; the valuation of e(w) drops monotonically
-with the shell index, so the first shell that meets this bound ends the
-recursion, before its e(w)^(q-1) is inverted, with every omitted factor
-provably congruent to 1.
+generator w to the kernel replaces e by e - e^q / e(w)^(q-1), and the same
+recursion on values gives e(w) itself (Goss, Basic Structures of Function
+Field Arithmetic, ch. 4; Gekeler, Invent. Math. 93, 1988).  So e is never
+evaluated at a lattice point, where its tau^k term would lose q^k |v_x(w)|,
+and the valuation of e(w) is known before any arithmetic.
 """
 
 from .poly import PolyRing, ResidueRing, trim
@@ -27,9 +25,6 @@ from .series import (Series, LaurentDomain, PrecisionError, SLACK_BUDGET,
                      series_canon)
 from .skew import SkewPoly
 from .drinfeld import DrinfeldModule, LevelStructure
-
-SHELL_CAP = 16
-
 
 def default_work_prec(A, f, N):
     return N + 1 + A.K.size ** (A.deg(f) + 1) + SLACK_BUDGET
@@ -92,45 +87,46 @@ def lattice_exp(L, N=None):
     """The truncated lattice exponential e = sum s_i tau^i over R'[[x]].
 
     Additive with s_0 = 1 and s_i = 0 mod x for i >= 1; kills every
-    included lattice point.  The first shell whose e(w) satisfies
-    (q-1) * |v_x(e(w))| >= W stops the recursion: each of its corrections
-    e(w)^(1-q) s_k^q (v_x(s_k) >= 0) would vanish below W, and so would
-    those of every later shell.
+    included lattice point.  Shell i finds G_i = e_i(w_i), e_i the
+    exponential of the shells before i, as g = w_i after
+    g <- g - G_j^(1-q) g^q for j < i, of valuation v = v_x(w_i) after
+    v <- q v + v_x(G_j^(1-q)).  The corrections G_i^(1-q) s_k^q
+    (v_x(s_k) >= 0) reach below the working precision W only through
+    the R = W + (q-1) v leading coefficients of G_i, so g is kept to
+    relative precision R, and the first shell with R <= 0 stops: its
+    corrections, and every later shell's, vanish below W.
     """
     LD = L.LD
     W = L.work_prec
     q = L.ring.q
     e = SkewPoly.one(LD)
-    for i in range(SHELL_CAP):
+    ginvs = []  # G_j^(1-q), one per shell adjoined
+    while True:
+        i = len(ginvs)
         w = L.shell_point(i)
-        g = e.eval(w, ydom=LD)
-        if g.is_zero():
-            raise PrecisionError(
-                "lattice exponential: e(w) on shell %d is zero to its "
-                "precision %s at working precision W=%d" % (i, g.prec, W))
-        gq = LD.pow(g, q - 1)
-        if -gq.valuation() >= W:
-            # the stopping shell keeps only the inverse's first step, so
-            # a non-unit lowest coefficient still raises ZeroDivisionError
-            L.ring.inv(gq.leading())
-            if gq.prec is None:
-                # an exact e(w) means no shell has contributed yet
+        vals = [w.valuation()]
+        for gj in ginvs:
+            vals.append(q * vals[-1] + gj.valuation())
+        R = W + (q - 1) * vals[-1]
+        if R <= 0:
+            if i == 0:
                 raise PrecisionError(
-                    "lattice exponential: shell %d already has "
+                    "lattice exponential: shell 0 already has "
                     "(q-1)|v(e(w))| = %d >= W=%d; raise the working "
-                    "precision" % (i, -gq.valuation(), W))
+                    "precision" % ((1 - q) * vals[0], W))
             break
-        ginv = gq.inv(work_prec=W) if gq.prec is None else gq.inv()
-        corr = [ginv.mul(LD.qpow(c, 1)).truncate(W) for c in e.coeffs]
-        new_coeffs = [e.coeff(0)]
-        for k in range(1, len(e.coeffs) + 1):
-            ck = e.coeff(k).truncate(W)
-            ck = ck.sub(corr[k - 1])
-            new_coeffs.append(ck.truncate(W))
-        e = SkewPoly(LD, new_coeffs)
-    else:
-        raise PrecisionError("lattice exponential did not stabilize "
-                             "within the shell cap")
+        g = w.truncate(vals[0] + R)
+        for gj, v in zip(ginvs, vals[1:]):
+            g = g.sub(gj.mul(LD.qpow(g, 1))).truncate(v + R)
+        if g.valuation() != vals[-1]:
+            raise AssertionError("e(w) on shell %d has valuation %s, not %d"
+                                 % (i, g.valuation(), vals[-1]))
+        ginv = LD.pow(g, q - 1).inv()
+        ginvs.append(ginv)
+        s = e.coeffs + (LD.zero(),)
+        e = SkewPoly(LD, s[:1] + tuple(
+            s[k].sub(ginv.mul(LD.qpow(s[k - 1], 1))).truncate(W)
+            for k in range(1, len(s))))
     # contract: s_0 = 1, s_i = 0 mod x for i >= 1
     if not e.coeff(0).agree(LD.one(), upto=min(W, e.coeff(0).prec or W)):
         raise AssertionError("e does not reduce to the identity mod x")

@@ -342,6 +342,17 @@ def dense_mul_oracle(R, a, b):
     return tuple(Af.normalize(n, ka + kb) for n in out)
 
 
+def solve(dom, M, rhs):
+    """One solution x of M x = rhs, or None if inconsistent: the kernel
+    vector of (M | -rhs) whose last coordinate is the free one."""
+    n = len(M[0])
+    aug = [list(row) + [dom.neg(b)] for row, b in zip(M, rhs)]
+    for v in linalg.nullspace(dom, aug, n + 1):
+        if v[n] == dom.one():
+            return v[:n]
+    return None
+
+
 def solve_inv_oracle(R, a):
     """a^-1 from the multiplication matrix of a over Frac(A); raises
     ZeroDivisionError when a is no unit of R'."""
@@ -352,7 +363,7 @@ def solve_inv_oracle(R, a):
             for j in range(d)]
     M = [[(cols[j][i][0], Af.fpow(cols[j][i][1])) if cols[j][i][0]
           else FF.zero() for j in range(d)] for i in range(d)]
-    x = linalg.solve(FF, M, [FF.one()] + [FF.zero()] * (d - 1))
+    x = solve(FF, M, [FF.one()] + [FF.zero()] * (d - 1))
     if x is None:
         raise ZeroDivisionError("zero divisor in R'")
     out = []
@@ -493,7 +504,7 @@ def test_inv_of_af_element_makes_no_solve(monkeypatch, q, f):
     Af = R.Af
     els = [R.from_af(Af.make((c,), k)) for c in range(1, q)
            for k in range(3)]
-    calls = _counted(monkeypatch, linalg, "solve")
+    calls = _counted(monkeypatch, linalg, "_rref")
     for a in els:
         assert R.mul(a, R.inv(a)) == R.one()
     with pytest.raises(ZeroDivisionError):
@@ -505,8 +516,8 @@ def test_inv_of_af_element_makes_no_solve(monkeypatch, q, f):
                                  (2, (1, 1, 1))],
                          ids=["q3-T+1", "q3-T^2+1", "q4-T", "q2-T^2+T+1"])
 def test_inv_outside_af_makes_no_solve(monkeypatch, q, f):
-    """Outside A_f, inv and is_unit go through the norm to A_f: no linear
-    system over Frac(A) is solved."""
+    """Outside A_f, inv and is_unit go through the norm to A_f: no
+    Gaussian elimination over Frac(A) runs."""
     R = CyclotomicRing(_fq(q), f)
     Af = R.Af
     lam = R.lam()
@@ -518,7 +529,7 @@ def test_inv_outside_af_makes_no_solve(monkeypatch, q, f):
             for e in [unit, non_unit] + mixed}
     assert want[unit] is not ZeroDivisionError
     assert want[non_unit] is ZeroDivisionError
-    calls = _counted(monkeypatch, linalg, "solve")
+    calls = _counted(monkeypatch, linalg, "_rref")
     for a, a_inv in want.items():
         assert _inv_or_raise(CyclotomicRing.inv, R, a) == a_inv
         assert R.is_unit(a) == (a_inv is not ZeroDivisionError)

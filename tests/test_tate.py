@@ -220,6 +220,25 @@ def test_lattice_exp_inverts_only_contributing_shells(oracle_cell,
     assert sorted(L._shells) == list(range(contributing + 1))
 
 
+def test_lattice_exp_evaluates_no_skew_poly(oracle_cell, monkeypatch):
+    # e(w) on a shell comes from the recursion on values, never from the
+    # truncated e evaluated at w; the oracle leaves every shell point the
+    # lattice exponential reads already computed
+    uni, N = oracle_cell
+    L = tate_lattice(uni, N=N)
+    want, _ = lattice_exp_oracle(L)
+    calls = []
+    ev = SkewPoly.eval
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return ev(self, *args, **kwargs)
+
+    monkeypatch.setattr(SkewPoly, "eval", counted)
+    assert lattice_exp(L, N=N).coeffs == want.coeffs
+    assert calls == []
+
+
 def test_j_expansion_matches_oracle(oracle_cell):
     uni, N = oracle_cell
     te = tate_module(tate_lattice(uni, N=N), N)
