@@ -14,7 +14,7 @@ from .poly import (PolyRing, ResidueRing, LocalizedRing, FunctionField,
                    residue_units, char_eval, NEG_INF)
 from .series import Series, LaurentDomain, PrecisionError
 from .skew import SkewPoly, skew_mul, skew_right_divmod, skew_eval, \
-    skew_kernel
+    skew_kernel, skew_solve
 from .drinfeld import (DrinfeldModule, LevelStructure, dm_make, dm_image,
                        dm_twist, dm_torsion, level_make, carlitz_module,
                        carlitz_cyclotomic, CyclotomicRing, UniversalRank1,

@@ -147,7 +147,8 @@ class LevelStructure:
 
     ``canon`` maps a point to a hashable canonical key (identity for
     field elements; a coefficient window from ``series.series_canon`` or
-    ``series.torsion_canon`` for series points).
+    ``series.torsion_canon`` for series points).  The points are mapped
+    once (``points``); ``span`` keys them with ``canon`` on first use.
     """
 
     def __init__(self, phi, f, images, canon=None, validate=True):
@@ -157,7 +158,7 @@ class LevelStructure:
         self.A = phi.A
         self.R = ResidueRing(phi.A, self.f)
         self.canon = canon or (lambda x: x)
-        self._span = None
+        self._points = self._span = None
         if len(self.images) != phi.rank:
             raise ValueError("need exactly rank-many images")
         if validate:
@@ -172,19 +173,20 @@ class LevelStructure:
             acc = dom.add(acc, pa.eval(u, ydom=dom, embed=lambda c: c))
         return acc
 
+    def points(self):
+        """[(coordinate vector, lambda(vector))] over all of (A/fA)^r,
+        each point mapped once."""
+        if self._points is None:
+            R, r = self.R, self.phi.rank
+            vecs = (tuple(R.from_index(idx // R.size ** j % R.size)
+                          for j in range(r)) for idx in range(R.size ** r))
+            self._points = [(vec, self.map(vec)) for vec in vecs]
+        return self._points
+
     def span(self):
         """dict canonical-key -> coordinate vector, over all of (A/fA)^r."""
         if self._span is None:
-            out = {}
-            R = self.R
-            for idx in range(R.size ** self.phi.rank):
-                vec = []
-                k = idx
-                for _ in range(self.phi.rank):
-                    vec.append(R.from_index(k % R.size))
-                    k //= R.size
-                out[self.canon(self.map(tuple(vec)))] = tuple(vec)
-            self._span = out
+            self._span = {self.canon(pt): vec for vec, pt in self.points()}
         return self._span
 
     def coordinates(self, point):

@@ -1,14 +1,22 @@
 """Stable reduction of rank-2 Drinfeld modules over V = F_{q^m}[[pi]].
 
-Pipeline: Newton slopes of the f-division polynomial decide the twist
-exponent k; twisting by pi^(-k) produces the normal form with integral
-coefficients whose reduction has rank 1 (or 2 = good reduction);
-Drinfeld's successive approximation then finds the additive series
-s = 1 + sum v_i tau^i (v_i in (pi)) with phi' o s = s o psi for a rank-1
-psi over V, solved order by order in pi -- the linearization at each
-pi-level is a bidiagonal system closed by the tau-degree cutoff, so plain
-back-substitution applies.  The lattice generator is recovered by pulling
-a negative-valuation torsion point through s^(-1) and pushing with psi_f.
+Pipeline: the Newton polygon of the f-division polynomial decides the
+twist exponent k, and the same polygon shifted by k is that of the
+twisted module; twisting by pi^(-k) produces the normal form with
+integral coefficients whose reduction has rank 1 (or 2 = good
+reduction); Drinfeld's successive approximation then finds the additive
+series s = 1 + sum v_i tau^i (v_i in (pi)) with phi' o s = s o psi for a
+rank-1 psi over V, solved order by order in pi -- the linearization at
+each pi-level is a bidiagonal system closed by the tau-degree cutoff, so
+plain back-substitution applies.  The lattice generator is recovered by
+pulling a negative-valuation torsion point through s^(-1) and pushing
+with psi_f.
+
+Torsion points are the K_V-rational roots of additive polynomials, and
+``additive_roots`` finds them digit by digit: each digit solves one face
+equation over the residue field, the Newton-polygon calculus of additive
+polynomials (Goss, *Basic Structures of Function Field Arithmetic*,
+ch. 4).
 
 The approximant s is the truncated lattice exponential e_Lambda (they
 satisfy the same equation with the same pi-adic normalization, which is
@@ -19,9 +27,8 @@ coefficientwise.
 from fractions import Fraction
 
 from .poly import trim
-from .series import (Series, PrecisionError, SLACK_BUDGET, series_canon,
-                     torsion_canon)
-from .skew import SkewPoly, skew_kernel
+from .series import Series, PrecisionError, SLACK_BUDGET, torsion_canon
+from .skew import SkewPoly, skew_kernel, skew_solve
 from .drinfeld import DrinfeldModule, CharacteristicError, LevelStructure
 
 TAU_DEGREE_CAP = 12
@@ -35,40 +42,22 @@ class NoLattice(ArithmeticError):
     """No negative-valuation torsion: the reduction is good (rank 2)."""
 
 
-def _coeff_valuations(sp):
-    """[(i, valuation of c_i)] for nonzero coefficients; raises when a
-    coefficient is zero to a precision too small to place the hull."""
-    pts = []
-    for i, c in enumerate(sp.coeffs):
-        v = c.valuation()
-        if v is not None:
-            pts.append((i, v))
-        elif c.prec is None:
-            continue  # exact zero
-        else:
-            pts.append((i, None, c.prec))
-    return pts
-
-
 def newton_slopes(sp):
     """Slopes (ascending) with horizontal lengths of the lower convex
     hull of {(q^i - 1, v(c_i))} for the additive polynomial sp, i.e. of
     (1/X) sp(X).  Zero-to-precision coefficients must lie provably above
     the hull or the polygon is indeterminate."""
     q = sp.dom.q
-    raw = _coeff_valuations(sp)
     pts = []
     unknown = []
-    for entry in raw:
-        if len(entry) == 2:
-            i, v = entry
+    for i, c in enumerate(sp.coeffs):
+        v = c.valuation()
+        if v is not None:
             pts.append((q ** i - 1, v))
-        else:
-            i, _, prec = entry
-            unknown.append((q ** i - 1, prec))
+        elif c.prec is not None:
+            unknown.append((q ** i - 1, c.prec))
     if len(pts) < 1:
         raise ValueError("zero polynomial has no Newton polygon")
-    pts.sort()
     # lower convex hull, monotone chain
     hull = []
     for p in pts:
@@ -140,9 +129,9 @@ def stable_normalize(phi, f):
         raise AssertionError("reduction is not a Drinfeld module; "
                              "normalization failed")
     # P': integral torsion is exactly A/fA, i.e. the slope-0 part of the
-    # normalized polygon has horizontal length q^deg(f) - 1
-    slopes2 = newton_slopes(phi_prime.image(f))
-    zero_len = sum(l for s, l in slopes2 if s == 0)
+    # normalized polygon has horizontal length q^deg(f) - 1.  Twisting by
+    # pi^(-k) adds k(q^i - 1) to v(c_i), so that polygon is (s + k, l).
+    zero_len = sum(l for s, l in slopes if s + k == 0)
     if rrank == 1 and zero_len != q ** degf - 1:
         raise AssertionError("phi'[f](V) is not isomorphic to A/fA")
     return phi_prime, k, rrank, xi
@@ -261,11 +250,21 @@ def tau_series_invert(s, cap=None):
 # -- rational roots of additive polynomials over K_V ----------------------
 
 
-def additive_roots(sp, expected=None, newton_cap=60):
-    """All K_V-rational roots of the additive polynomial sp, found slope
-    by slope: the residual face polynomial's kernel over the residue
-    field gives the leading terms, Newton iteration with the (unit)
-    linear coefficient refines them, and the F_q-span closes the set.
+def additive_roots(sp, expected=None, exact_prec=60):
+    """All K_V-rational roots of the additive polynomial sp, digit by
+    digit on one rule.
+
+    The face of sp at valuation mu is the additive polynomial over the
+    residue field formed by the terms c_i (a x^mu)^(q^i) of least
+    valuation.  A seed c x^(-s) is a nonzero kernel element of the face at
+    an integer slope s; since sp(z + w) = sp(z) + sp(w), every later digit
+    a x^mu of a root z solves face(mu)(a) = -lead(sp(z)), where mu is the
+    valuation whose face reaches that of sp(z).  A root is known to
+    prec(sp(z)) - v(c_0); a seed that is already a root to precision is
+    returned as it is.  Slopes ascend, so a seed that leads a root found
+    so far lifts into their span and is skipped; the F_q-span of the
+    independent roots found closes the set.  An all-exact sp is truncated
+    to ``exact_prec``.
 
     Raises if the expected count is not reached (torsion not rational or
     precision too low)."""
@@ -275,82 +274,57 @@ def additive_roots(sp, expected=None, newton_cap=60):
     c0 = sp.coeff(0)
     if c0.is_zero():
         raise ValueError("additive polynomial with zero linear term")
-    prec_floor = min(c.prec for c in sp.coeffs if c.prec is not None) \
-        if any(c.prec is not None for c in sp.coeffs) else None
-    c0_inv = c0.inv() if c0.prec is not None else \
-        c0.inv(work_prec=(prec_floor or newton_cap))
-    if prec_floor is None:
-        # all of sp is exact: an exact Newton step grows the iterate
-        # q^deg(sp)-fold in length and never meets zero, so work to
-        # newton_cap, the precision c0^-1 is taken to above
-        c0_inv = c0_inv.truncate(newton_cap)
-    slopes = newton_slopes(sp)
-    vals = {}
-    for i, c in enumerate(sp.coeffs):
-        v = c.valuation()
-        if v is not None:
-            vals[i] = v
+    if all(c.prec is None for c in sp.coeffs):
+        # an exact residual would never vanish at a root that is an
+        # infinite series, so work to exact_prec
+        sp = SkewPoly(LD, [c.truncate(exact_prec) for c in sp.coeffs])
+    terms = [(i, c.valuation(), c.leading())
+             for i, c in enumerate(sp.coeffs) if not c.is_zero()]
 
-    def refine(z):
-        val = sp.eval(z, ydom=LD)
-        last = val.valuation()
-        for _ in range(newton_cap):
-            if val.is_zero():
-                return z
-            z = z.sub(val.mul(c0_inv))
-            val = sp.eval(z, ydom=LD)
-            cur = val.valuation()
-            if cur is None:
-                return z
-            if last is not None and cur <= last:
+    def face(mu):
+        least = min(v + mu * q ** i for i, v, _ in terms)
+        fc = [kappa.zero()] * len(sp.coeffs)
+        for i, v, lead in terms:
+            if v + mu * q ** i == least:
+                fc[i] = lead
+        return least, SkewPoly(kappa, fc)
+
+    def lift(z):
+        r = sp.eval(z, ydom=LD)
+        if r.is_zero():
+            return z  # a seed that is a root to precision stays exact
+        while not r.is_zero():
+            nu = r.valuation()
+            # the face valuation is strictly increasing in mu, so at most
+            # one mu reaches nu, and some term meets it there
+            for i, v, _ in terms:
+                mu = (nu - v) // q ** i
+                least, G = face(mu)
+                if least == nu:
+                    break
+            else:
                 return None
-            last = cur
-        return None
+            a = skew_solve(G, kappa.neg(r.leading()))
+            if a is None:
+                return None
+            digit = Series(kappa, mu, (a,), None)
+            z = z.add(digit)
+            r = r.add(sp.eval(digit, ydom=LD))
+        return z.truncate(r.prec - c0.valuation())
 
     roots = [LD.zero()]
-    int_slopes = [s for s, _ in slopes if isinstance(s, int)]
-    # distinct roots differ by a root, whose valuation is one of -slope;
-    # so the window [-max slope, max(-slope)+1) separates all of them
-    window_lo = min([-s for s in int_slopes] + [-1]) - 1
-    window_hi = max([-s for s in int_slopes] + [0]) + 1
-    key = series_canon(window_lo, window_hi)
-    seen = {key(roots[0])}
-    for s, _length in slopes:
+    for s, _length in newton_slopes(sp):
         if not isinstance(s, int):
             continue
-        # face polynomial over kappa
-        xs = sorted((q ** i - 1, i) for i in vals)
-        face = []
-        # hull value along this slope: anchor at the minimal achieved
-        anchor = min(vals[i] - s * (q ** i - 1) for _, i in xs)
-        for _, i in xs:
-            if vals[i] - s * (q ** i - 1) == anchor:
-                face.append(i)
-        fc = [kappa.zero()] * (max(face) + 1)
-        for i in face:
-            fc[i] = sp.coeffs[i].coeff(vals[i])
-        G = SkewPoly(kappa, fc)
-        if G.is_zero():
-            continue
-        for c in skew_kernel(G):
-            if c == kappa.zero():
+        for c in skew_kernel(face(-s)[1]):
+            if c == kappa.zero() or any(
+                    r.valuation() == -s and r.leading() == c for r in roots):
                 continue
-            z0 = Series(kappa, -s, (c,), None)  # exact seed
-            z = refine(z0)
+            z = lift(Series(kappa, -s, (c,), None))
             if z is None:
                 continue
-            if key(z) in seen:
-                continue
-            # close under the F_q-span with the existing roots
-            new_roots = []
-            for r in roots:
-                for cc in range(1, q):
-                    cand = r.add(z.scalar_mul(kappa.scalar(cc)))
-                    ck = key(cand)
-                    if ck not in seen:
-                        seen.add(ck)
-                        new_roots.append(cand)
-            roots.extend(new_roots)
+            roots += [r.add(z.scalar_mul(kappa.scalar(cc)))
+                      for r in roots for cc in range(1, q)]
     if expected is not None and len(roots) != expected:
         raise NoLattice(
             "found %d rational roots, expected %d (torsion not rational "
@@ -370,8 +344,6 @@ def lattice_recover(phi_prime, s_approx, f, psi, N, torsion=None):
     f = trim(f)
     degf = A.deg(f)
     q = LD.q
-    if all(s == 0 for s, _ in newton_slopes(phi_prime.image(f))):
-        raise NoLattice("all torsion is integral: good reduction (rank 2)")
     if torsion is None:
         torsion = additive_roots(phi_prime.image(f),
                                  expected=q ** (phi_prime.rank * degf))
@@ -442,15 +414,12 @@ def triple_extract(phi, level, N):
     if rrank != 1:
         raise NoLattice("stable reduction has rank %d, not 1" % rrank)
     # the level structure of xi phi xi^-1 scales the images by xi; its
-    # torsion points fix the window that keys them
-    twisted = LevelStructure(phi_prime, f,
-                             [img.mul(xi) for img in level.images],
-                             validate=False)
-    Rf = twisted.R
-    torsion = [twisted.map((a, b)) for a in Rf.elements()
-               for b in Rf.elements()]
-    lv = LevelStructure(phi_prime, f, twisted.images,
-                        canon=torsion_canon(torsion), validate=False)
+    # torsion points, mapped once, fix the window that keys its chart
+    lv = LevelStructure(phi_prime, f, [img.mul(xi) for img in level.images],
+                        validate=False)
+    torsion = [pt for _, pt in lv.points()]
+    lv.canon = torsion_canon(torsion)
+    Rf = lv.R
     approx = drinfeld_approx(phi_prime, N)
     ell, u = lattice_recover(phi_prime, approx.s, f, approx.psi, N,
                              torsion=torsion)

@@ -218,14 +218,24 @@ def _from_prime_vec(F, v):
     return a
 
 
+def _prime_matrix(a):
+    """Rows of the F_p-matrix of z -> a(z) on the coefficient field (a is
+    F_q-linear, hence F_p-linear): column j is the image of the basis
+    vector with encoding p^j."""
+    F = a.dom
+    dim = _prime_dim(F)
+    cols = [_to_prime_vec(F, a.eval(F.char ** j)) for j in range(dim)]
+    return [[col[i] for col in cols] for i in range(dim)]
+
+
 def skew_kernel(a, exhaustive=False):
     """All roots in the coefficient field of the additive polynomial a.
 
     Computed from the nullspace of the matrix of z -> a(z) as an
-    F_p-linear map on the field (a is F_q-linear, hence F_p-linear).  The
-    result is an F_q-subspace; its size is a power of q.  With
-    ``exhaustive`` the kernel is found by evaluating at every field
-    element instead (an independent oracle for testing).
+    F_p-linear map on the field.  The result is an F_q-subspace; its size
+    is a power of q.  With ``exhaustive`` the kernel is found by
+    evaluating at every field element instead (an independent oracle for
+    testing).
     """
     if a.is_zero():
         raise ValueError("kernel of the zero polynomial is everything")
@@ -234,11 +244,7 @@ def skew_kernel(a, exhaustive=False):
         return sorted(z for z in F.elements() if a.eval(z) == 0)
     dim = _prime_dim(F)
     p = F.char
-    Fp = PrimeField(p)
-    # columns = images of the F_p-basis vectors, the encodings p^i
-    cols = [_to_prime_vec(F, a.eval(p ** i)) for i in range(dim)]
-    M = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    null = linalg.nullspace(Fp, M, dim)
+    null = linalg.nullspace(PrimeField(p), _prime_matrix(a), dim)
     # expand the nullspace to the full set of kernel points
     points = set()
     span = [[0] * dim]
@@ -251,3 +257,25 @@ def skew_kernel(a, exhaustive=False):
     for v in span:
         points.add(_from_prime_vec(F, v))
     return sorted(points)
+
+
+def skew_solve(a, b):
+    """Some y in the coefficient field with a(y) = b, or None when there
+    is none.  A one-term a = c tau^i inverts by Frobenius; otherwise the
+    F_p-matrix of a gets the column -b, and a nullspace vector whose last
+    coordinate is 1 carries a solution."""
+    if a.is_zero():
+        raise ValueError("the zero polynomial solves only b = 0")
+    F = a.dom
+    terms = [i for i, c in enumerate(a.coeffs) if c != F.zero()]
+    if len(terms) == 1:
+        i = terms[0]
+        return F.qpow(F.mul(b, F.inv(a.coeffs[i])), -i)
+    dim = _prime_dim(F)
+    p = F.char
+    M = [row + [-d % p]
+         for row, d in zip(_prime_matrix(a), _to_prime_vec(F, b))]
+    for v in linalg.nullspace(PrimeField(p), M, dim + 1):
+        if v[dim]:
+            return _from_prime_vec(F, v[:dim])
+    return None

@@ -119,7 +119,7 @@ class PairingContext:
         dom = phi.dom
         want = dom.q ** phi.A.deg(f)
         if hasattr(dom, "cdom"):
-            # Laurent-series domain: rational roots by slope refinement,
+            # Laurent-series domain: rational roots digit by digit,
             # keyed on the window that separates torsion points
             from .reduction import additive_roots
             pts = additive_roots(psi.image(f), expected=want)

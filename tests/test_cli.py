@@ -309,6 +309,50 @@ def test_reduce_q5_plus_collapse_exits_3(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+REDUCE_Q2_STRATA = ("sp.q2.T.F4", "sp.q2.T.F8", "sp.q2.T.F256")
+
+
+def test_reduce_q2_specialisations_answer(tmp_path, capsys):
+    # stable rank 1 is guaranteed here, and the torsion has digits on the
+    # two-term face c_0 a + c_1 a^q, which dividing by c_0 cannot lift
+    with open(POOL) as fh:
+        strata = json.load(fh)["reduce"]
+    jobs = [job for name in REDUCE_Q2_STRATA
+            for job in strata[name] if "defect" in job]
+    assert len(jobs) == 10
+    for i, job in enumerate(jobs):
+        p = tmp_path / ("doc%d.json" % i)
+        p.write_text(json.dumps(job["doc"]))
+        code, out = run_cli("reduce", str(p))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_OK and err == "", (job["id"], code, err)
+        doc = json.loads(out)
+        assert doc["stable_rank"] == "1", job["id"]
+        assert doc["k"] == str(job["twist"]), job["id"]
+        ell = doc["lattice_generator"]
+        lead = next(j for j, c in enumerate(ell["coeffs"]) if c != "0")
+        assert int(ell["low"]) + lead == -2, job["id"]
+
+
+def test_reduce_rank1_document_forms_two_newton_polygons(monkeypatch):
+    # one polygon of phi[f] in stable_normalize (the normalised one is
+    # read off it) and one in additive_roots; lattice_recover forms none
+    from dforge import reduction
+    calls = []
+    real = reduction.newton_slopes
+
+    def counted(sp):
+        calls.append(sp)
+        return real(sp)
+
+    monkeypatch.setattr(reduction, "newton_slopes", counted)
+    code, out = run_cli("reduce", os.path.join(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))), "docs",
+        "reduce_input_example.json"))
+    assert code == 0 and json.loads(out)["stable_rank"] == "1"
+    assert len(calls) == 2
+
+
 def test_repeated_main_leaves_no_cyclic_garbage():
     # in-process callers (the benchmark, tests) run many commands; each
     # call must not leave reference cycles behind for the collector

@@ -1,6 +1,11 @@
+import json
+import os
+
 import pytest
 
+from dforge import serialize
 from dforge.fields import field_make
+from dforge.poly import PolyRing
 from dforge.series import Series, LaurentDomain
 from dforge.drinfeld import DrinfeldModule, LevelStructure
 from dforge.tate import specialize, series_canon
@@ -242,3 +247,57 @@ def test_drinfeld_approx_small_tau_degree(spec9):
     for i in range(max(res0.s.deg(), res2.s.deg()) + 1):
         a, b = res0.s.coeff(i), res2.s.coeff(i)
         assert a.agree(b, upto=_win(a.prec, b.prec, res0.achieved, cap=10))
+
+
+def test_triple_extract_maps_each_twisted_point_once(spec9, monkeypatch):
+    # the twisted chart keys the points it mapped for the torsion list
+    lvl = LevelStructure(spec9.phi, (0, 1), (spec9.lam10, spec9.lam01),
+                         canon=series_canon(-3, 8), validate=True)
+    calls = []
+    real = LevelStructure.map
+
+    def counted(self, vec):
+        calls.append(vec)
+        return real(self, vec)
+
+    monkeypatch.setattr(LevelStructure, "map", counted)
+    triple_extract(spec9.phi, lvl, 10)
+    assert len(calls) == 9
+
+
+def _pool_phi(job_id):
+    """phi of a `reduce` document from the benchmark pool, over F_q^m((x))
+    as the command builds it."""
+    pool = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench", "pool.json")
+    with open(pool) as fh:
+        strata = json.load(fh)["reduce"]
+    doc = next(job["doc"] for jobs in strata.values() for job in jobs
+               if job["id"] == job_id)
+    q = int(doc["q"])
+    field = field_make(q, 1, int(doc["m"]))
+    LD = LaurentDomain(field, default_prec=int(doc["N"]) + 1, var="x")
+    phi = [serialize.parse_series_field(c, field) for c in doc["phi"]]
+    return DrinfeldModule(PolyRing(field_make(q, 1, 1)), LD, phi)
+
+
+def test_additive_roots_q2_digit_lifting_forms_no_inverse(monkeypatch):
+    # phi'_T on this cell has digits on the face c_0 a + c_1 a^2; all four
+    # roots lift by face equations, none by inverting c_0
+    phi = _pool_phi("reduce sp.q2.T.F4 lam=2 k=0")
+    phi_p, k, rrank, _ = stable_normalize(phi, (0, 1))
+    assert (k, rrank) == (0, 1)
+    calls = []
+    real = Series.inv
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Series, "inv", counted)
+    sp = phi_p.phi_T
+    roots = additive_roots(sp, expected=4)
+    assert calls == []
+    assert len(roots) == 4
+    for z in roots:
+        assert sp.eval(z, ydom=phi_p.dom).is_zero()

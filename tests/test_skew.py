@@ -5,8 +5,8 @@ import pytest
 from dforge.fields import field_make, PrimeField
 from dforge.poly import PolyRing, FunctionField, NEG_INF
 from dforge.skew import (SkewPoly, skew_mul, skew_right_divmod, skew_eval,
-                         skew_kernel, _prime_dim, _to_prime_vec,
-                         _from_prime_vec)
+                         skew_kernel, skew_solve, _prime_dim,
+                         _to_prime_vec, _from_prime_vec)
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +206,33 @@ def test_prime_coordinates_match_tower_walk(p, e, m):
         pts = skew_kernel(a)
         assert pts == skew_kernel(a, exhaustive=True)
         assert len(pts) == F.q ** a.deg()
+
+
+@pytest.mark.parametrize("p,e,m", [(3, 1, 2), (3, 1, 3), (2, 1, 6),
+                                   (2, 2, 3)])
+def test_skew_solve_vs_exhaustive(p, e, m):
+    # F_9, F_27 and F_64 (twisted by q = 2 and by q = 4): a(y) = b has a
+    # solution exactly when some field element solves it by evaluation
+    F = field_make(p, e, m)
+    rng = random.Random(31 * m + p)
+    one_term = [SkewPoly(F, (0,) * i + (rng.randrange(1, F.size),))
+                for i in range(3)]
+    multi = [SkewPoly(F, (F.neg(1), 1)),             # y^q - y: image F_q-trace 0
+             SkewPoly(F, (rng.randrange(1, F.size), 0, 1))]
+    while len(multi) < 6:
+        a = SkewPoly(F, [F.rand(rng) for _ in range(3)])
+        if sum(c != 0 for c in a.coeffs) >= 2:
+            multi.append(a)
+    unsolvable = 0
+    for a in one_term + multi:
+        image = {a.eval(y) for y in F.elements()}
+        for b in F.elements():
+            y = skew_solve(a, b)
+            if b in image:
+                assert y is not None and a.eval(y) == b, (a, b)
+            else:
+                assert y is None, (a, b, y)
+                unsolvable += 1
+    assert unsolvable > 0
+    with pytest.raises(ValueError):
+        skew_solve(SkewPoly(F, ()), 1)
