@@ -6,9 +6,9 @@ plays the role of roots of unity, and the cyclotomic polynomial Phi_f
 cuts out the primitive torsion.
 """
 
-from dforge import (field_make, PolyRing, carlitz_module,
+from dforge import (field_make, PolyRing, ResidueRing, carlitz_module,
                     carlitz_cyclotomic, dm_torsion, DrinfeldModule,
-                    residue_units, rank1_universal)
+                    rank1_universal)
 
 F3 = field_make(3, 1, 1)
 A = PolyRing(F3)
@@ -22,7 +22,7 @@ print()
 for f, name in [(T, "T"), (A.mul(T, T), "T^2"), ((1, 0, 1), "T^2+1")]:
     phi = carlitz_cyclotomic(A, f)
     print("deg Phi_%-6s = %2d  (= #(A/fA)^* = %d)"
-          % (name, len(phi) - 1, len(residue_units(A, f))))
+          % (name, len(phi) - 1, len(ResidueRing(A, f).units())))
 print()
 
 # torsion of a concrete specialization: theta = 2 in F_3

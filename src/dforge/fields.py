@@ -110,9 +110,6 @@ class PrimeField(Ring):
         # a^(q^k) with q = p: Frobenius is the identity on the prime field
         return a % self.p
 
-    def frobenius(self, a):
-        return a % self.p
-
     def elements(self):
         return range(self.p)
 
@@ -345,10 +342,6 @@ class ExtField(Ring):
             return self.pow(a, self.size - 2)
         return self._exp[self.size - 1 - self._log[a]]
 
-    def frobenius(self, a):
-        """a -> a^q for the designated twist order q."""
-        return self.qpow(a, 1)
-
     def qpow(self, a, k=1):
         k %= self._frob_order
         if self._log is None:
@@ -382,7 +375,7 @@ class ExtField(Ring):
 def field_make(p, e, m=1):
     """Build F_{q^m} for q = p^e, with the twist order q attached.
 
-    Returns a field object whose ``frobenius`` is x -> x^q and for which
+    Returns a field object whose ``qpow(x, 1)`` is x -> x^q and for which
     the subfield F_q consists of the encodings 0..q-1 when m > 1 (the
     power-basis encoding makes the inclusion the identity on integers).
     """
@@ -404,40 +397,3 @@ def field_make(p, e, m=1):
         return Fq
     return ExtField(Fq, m, q=Fq.size)
 
-
-def embed(src, dst):
-    """Embedding of src into dst along the tower over the common F_q.
-
-    Both fields must be extensions of the same base field (or src may be
-    the base itself).  Returns a callable on encodings.  The image of the
-    power-basis generator is the least root in dst of src's modulus, so
-    the embedding is deterministic.
-    """
-    if src == dst:
-        return lambda a: a
-    base = getattr(src, "base", None)
-    if base is None or src.degree == 1:
-        return lambda a: a
-    if getattr(dst, "base", None) != src.base:
-        raise ValueError("fields are not towers over a common base")
-    # find least root of src.modulus in dst
-    dst_x = PolyRing(dst)
-    root = None
-    for cand in dst.elements():
-        if dst_x.eval(src.modulus, cand) == 0:
-            root = cand
-            break
-    if root is None:
-        raise ValueError("%s does not embed in %s" % (src, dst))
-    powers = [1]
-    for _ in range(src.degree - 1):
-        powers.append(dst.mul(powers[-1], root))
-
-    def phi(a):
-        out = 0
-        for d, pw in zip(src.vec(a), powers):
-            if d:
-                out = dst.add(out, dst.mul(d, pw))
-        return out
-
-    return phi

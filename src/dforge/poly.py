@@ -394,14 +394,6 @@ class ResidueRing(Ring):
         return "%s/(%s)" % (self.A, self.A.repr_elem(self.f))
 
 
-def residue_units(A, f):
-    """Ordered list of the unit classes of A/fA (enumeration order)."""
-    f = trim(f)
-    if A.deg(f) < 1:
-        raise ValueError("f must be non-constant")
-    return ResidueRing(A, f).units()
-
-
 class LocalizedRing(Ring):
     """A_f = A[1/f]; elements are (num, k) = num / f^k with k minimal.
 
@@ -501,9 +493,6 @@ class LocalizedRing(Ring):
             num, k = quo, k - 1
         return tuple(num), k
 
-    def make(self, num, k=0):
-        return self.normalize(num, k)
-
     def zero(self):
         return ((), 0)
 
@@ -568,7 +557,7 @@ class LocalizedRing(Ring):
         raise ZeroDivisionError("non-unit of A_f")
 
     def rand(self, rng, maxdeg=3):
-        return self.make(self.A.rand(rng, maxdeg), rng.randrange(2))
+        return self.normalize(self.A.rand(rng, maxdeg), rng.randrange(2))
 
     def repr_elem(self, a):
         num, k = a
@@ -605,9 +594,6 @@ class FunctionField(Ring):
             den = self.A.divexact(den, g)
         c = self.K.inv(den[-1])
         return (self.A.scalar_mul(c, num), self.A.scalar_mul(c, den))
-
-    def make(self, num, den=((1,))):
-        return self.normalize(num, den)
 
     def zero(self):
         return ((), (1,))
@@ -666,7 +652,3 @@ class FunctionField(Ring):
     def __repr__(self):
         return "Frac(%s)" % (self.A,)
 
-
-def char_eval(A, a, theta, dom=None, embed_scalar=None):
-    """The characteristic map evaluated at a: the image a(theta)."""
-    return A.eval(a, theta, dom=dom, embed_scalar=embed_scalar)

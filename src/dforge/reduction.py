@@ -32,6 +32,8 @@ from .skew import SkewPoly, skew_kernel, skew_solve
 from .drinfeld import DrinfeldModule, CharacteristicError, LevelStructure
 
 TAU_DEGREE_CAP = 12
+# working precision of additive_roots on an all-exact polynomial
+EXACT_PREC = 60
 
 
 class NonIntegralSlope(ArithmeticError):
@@ -250,7 +252,7 @@ def tau_series_invert(s, cap=None):
 # -- rational roots of additive polynomials over K_V ----------------------
 
 
-def additive_roots(sp, expected=None, exact_prec=60):
+def additive_roots(sp, expected=None):
     """All K_V-rational roots of the additive polynomial sp, digit by
     digit on one rule.
 
@@ -259,12 +261,12 @@ def additive_roots(sp, expected=None, exact_prec=60):
     valuation.  A seed c x^(-s) is a nonzero kernel element of the face at
     an integer slope s; since sp(z + w) = sp(z) + sp(w), every later digit
     a x^mu of a root z solves face(mu)(a) = -lead(sp(z)), where mu is the
-    valuation whose face reaches that of sp(z).  A root is known to
-    prec(sp(z)) - v(c_0); a seed that is already a root to precision is
-    returned as it is.  Slopes ascend, so a seed that leads a root found
+    valuation whose face reaches that of sp(z).  Every root, a seed that
+    is already a root to precision too, is known to prec(sp(z)) - v(c_0).
+    Slopes ascend, so a seed that leads a root found
     so far lifts into their span and is skipped; the F_q-span of the
     independent roots found closes the set.  An all-exact sp is truncated
-    to ``exact_prec``.
+    to ``EXACT_PREC``.
 
     Raises if the expected count is not reached (torsion not rational or
     precision too low)."""
@@ -276,8 +278,8 @@ def additive_roots(sp, expected=None, exact_prec=60):
         raise ValueError("additive polynomial with zero linear term")
     if all(c.prec is None for c in sp.coeffs):
         # an exact residual would never vanish at a root that is an
-        # infinite series, so work to exact_prec
-        sp = SkewPoly(LD, [c.truncate(exact_prec) for c in sp.coeffs])
+        # infinite series, so work to EXACT_PREC
+        sp = SkewPoly(LD, [c.truncate(EXACT_PREC) for c in sp.coeffs])
     terms = [(i, c.valuation(), c.leading())
              for i, c in enumerate(sp.coeffs) if not c.is_zero()]
 
@@ -291,8 +293,6 @@ def additive_roots(sp, expected=None, exact_prec=60):
 
     def lift(z):
         r = sp.eval(z, ydom=LD)
-        if r.is_zero():
-            return z  # a seed that is a root to precision stays exact
         while not r.is_zero():
             nu = r.valuation()
             # the face valuation is strictly increasing in mu, so at most

@@ -53,7 +53,7 @@ def ser_af(a):
 
 
 def parse_af(doc, Af):
-    return Af.make(parse_fqpoly(doc["num"]), int(doc["fpow"]))
+    return Af.normalize(parse_fqpoly(doc["num"]), int(doc["fpow"]))
 
 
 def ser_rp(vec):

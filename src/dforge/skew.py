@@ -46,10 +46,6 @@ class SkewPoly:
             return self.coeffs[i]
         return self.dom.zero()
 
-    def constant_term(self):
-        """The point derivation at 0 (coefficient of tau^0)."""
-        return self.coeff(0)
-
     def is_zero(self):
         return not self.coeffs
 
@@ -172,20 +168,6 @@ class SkewPoly:
             else:
                 terms.append("(%s)*t^%d" % (rep(c), i))
         return " + ".join(terms) if terms else "0"
-
-
-def skew_mul(a, b):
-    if a.dom != b.dom:
-        raise ValueError("skew polynomials over different domains")
-    return a.mul(b)
-
-
-def skew_right_divmod(a, b):
-    return a.right_divmod(b)
-
-
-def skew_eval(a, y, ydom=None, embed=None):
-    return a.eval(y, ydom=ydom, embed=embed)
 
 
 # -- kernels of additive polynomials over the finite field towers --------

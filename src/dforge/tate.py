@@ -164,6 +164,9 @@ class TateExpansion:
         self.LD = lattice.LD
 
     def level(self, validate=False):
+        """The level structure (e(1/x), e(1)), keyed by the series window
+        the stored precision certifies; ``validate`` adds the span check
+        (q^(2 deg f) distinct points at that precision)."""
         degf = self.A.deg(self.f)
         window = series_canon(-(self.ring.q ** degf), self.N + 1 - SLACK_BUDGET)
         lv = LevelStructure(self.phi, self.f, (self.lam10, self.lam01),
@@ -224,13 +227,6 @@ def tate_module(L, N):
         achieved["torsion_" + name] = _zero_to(img)
     te = TateExpansion(L, N, e, phi, g, delta, lam10, lam01, achieved)
     return te
-
-
-def tate_level(te, validate=True):
-    """The level structure (e(1/x), e(1)) of the Tate expansion, with
-    the span check (q^(2 deg f) distinct points at the stored
-    precision) when ``validate`` is set."""
-    return te.level(validate=validate)
 
 
 def _zero_to(s):

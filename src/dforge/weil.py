@@ -163,10 +163,6 @@ def _least_generator(psi, f, points, canon):
     raise ValueError("kernel has no single generator (not cyclic?)")
 
 
-def weil_pair(ctx, u, v):
-    return ctx.pair(u, v)
-
-
 def weil_map(phi, level, ctx=None):
     """(phi, lambda) -> (psi, mu): the moduli-level Weil map.
 

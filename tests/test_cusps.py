@@ -201,7 +201,6 @@ def test_enum_bound(A):
 
 
 def test_unit_count_formula(A):
-    from dforge.poly import residue_units
     T = A.gen()
     for f in (T, A.mul(T, T), (1, 0, 1), (2, 1, 1)):
-        assert unit_count(A, f) == len(residue_units(A, f))
+        assert unit_count(A, f) == len(ResidueRing(A, f).units())

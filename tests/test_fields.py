@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dforge.fields import (field_make, embed, least_irreducible, ExtField,
+from dforge.fields import (field_make, least_irreducible, ExtField,
                            PrimeField, DEFAULT_MAX_Q)
 from dforge.poly import PolyRing
 
@@ -11,13 +11,13 @@ def test_f9_structure():
     F9 = field_make(3, 1, 2)
     i = 3  # the power-basis generator
     assert F9.mul(i, i) == 2           # i^2 = 2 with modulus z^2 + 1
-    assert F9.frobenius(i) == F9.mul(2, i)  # i^3 = 2i
+    assert F9.qpow(i, 1) == F9.mul(2, i)  # i^3 = 2i
 
 
 def test_prime_field_frobenius_identity():
     F3 = field_make(3, 1, 1)
     for a in F3.elements():
-        assert F3.frobenius(a) == a
+        assert F3.qpow(a, 1) == a
 
 
 def test_f4_multiplication():
@@ -40,16 +40,16 @@ def test_frobenius_is_ring_automorphism():
     rng = random.Random(5)
     for _ in range(200):
         a, b = F27.rand(rng), F27.rand(rng)
-        assert F27.frobenius(F27.mul(a, b)) == \
-            F27.mul(F27.frobenius(a), F27.frobenius(b))
-        assert F27.frobenius(F27.add(a, b)) == \
-            F27.add(F27.frobenius(a), F27.frobenius(b))
+        assert F27.qpow(F27.mul(a, b), 1) == \
+            F27.mul(F27.qpow(a, 1), F27.qpow(b, 1))
+        assert F27.qpow(F27.add(a, b), 1) == \
+            F27.add(F27.qpow(a, 1), F27.qpow(b, 1))
 
 
 def test_xq_fixes_subfield():
     F81 = field_make(3, 1, 4)
     for a in range(3):  # F_3 inside F_81 by encoding
-        assert F81.frobenius(a) == a
+        assert F81.qpow(a, 1) == a
 
 
 def test_frobenius_order():
@@ -58,16 +58,6 @@ def test_frobenius_order():
     for _ in range(20):
         a = F.rand(rng)
         assert F.qpow(a, 3) == a
-
-
-def test_tower_embedding_is_homomorphism():
-    F9 = field_make(3, 1, 2)
-    F81 = field_make(3, 1, 4)
-    phi = embed(F9, F81)
-    for a in F9.elements():
-        for b in F9.elements():
-            assert phi(F9.mul(a, b)) == F81.mul(phi(a), phi(b))
-            assert phi(F9.add(a, b)) == F81.add(phi(a), phi(b))
 
 
 def test_reducible_modulus_rejected():
@@ -154,7 +144,7 @@ def _check_against_oracle(F, pairs):
         if a:
             assert F._mul_raw(a, F.inv(a)) == 1, (F, a)
         frob = _pow_oracle(F, a, F.q)
-        assert F.frobenius(a) == frob, (F, a)
+        assert F.qpow(a, 1) == frob, (F, a)
         x = a
         for k in range(F._frob_order + 2):
             assert F.qpow(a, k) == x, (F, a, k)
@@ -210,4 +200,4 @@ def test_frobenius_is_identity_on_fq():
     for e in (2, 4):
         F = field_make(2, e, 1)
         assert F.q == F.size
-        assert all(F.frobenius(a) == a for a in F.elements())
+        assert all(F.qpow(a, 1) == a for a in F.elements())

@@ -5,7 +5,7 @@ import pytest
 from dforge.drinfeld import CyclotomicRing
 from dforge.fields import field_make
 from dforge.poly import (PolyRing, ResidueRing, LocalizedRing,
-                         FunctionField, residue_units, char_eval, NEG_INF)
+                         FunctionField, NEG_INF)
 from dforge.series import Series
 
 
@@ -55,29 +55,28 @@ def test_char_eval_is_homomorphism(A):
     theta = 7
     for _ in range(200):
         a, b = A.rand(rng), A.rand(rng)
-        lhs = char_eval(A, A.mul(a, b), theta, dom=F9)
-        rhs = F9.mul(char_eval(A, a, theta, dom=F9),
-                     char_eval(A, b, theta, dom=F9))
+        lhs = A.eval(A.mul(a, b), theta, dom=F9)
+        rhs = F9.mul(A.eval(a, theta, dom=F9), A.eval(b, theta, dom=F9))
         assert lhs == rhs
     # spot values
-    assert char_eval(A, (1, 0, 1), 5, dom=F9) == F9.add(F9.mul(5, 5), 1)
-    assert char_eval(A, (1,), 5, dom=F9) == 1
-    assert char_eval(A, (0, 1), 2) == 2
+    assert A.eval((1, 0, 1), 5, dom=F9) == F9.add(F9.mul(5, 5), 1)
+    assert A.eval((1,), 5, dom=F9) == 1
+    assert A.eval((0, 1), 2) == 2
 
 
 def test_residue_units_examples(A):
-    assert residue_units(A, (0, 1)) == [(1,), (2,)]
-    u2 = residue_units(A, (0, 0, 1))
+    assert ResidueRing(A, (0, 1)).units() == [(1,), (2,)]
+    u2 = ResidueRing(A, (0, 0, 1)).units()
     assert sorted(u2) == sorted(
         [(c,) + ((d,) if d else ()) for c in (1, 2) for d in (0, 1, 2)])
     assert len(u2) == 6
     # A/(T^2+1) is the field F_9: 8 units
-    assert len(residue_units(A, (1, 0, 1))) == 8
+    assert len(ResidueRing(A, (1, 0, 1)).units()) == 8
 
 
 def test_residue_units_closed_under_multiplication(A):
     R = ResidueRing(A, (0, 0, 1))
-    us = set(residue_units(A, (0, 0, 1)))
+    us = set(R.units())
     for x in us:
         for y in us:
             assert R.mul(x, y) in us
@@ -95,16 +94,16 @@ def test_residue_partition(A):
 
 def test_residue_constant_rejected(A):
     with pytest.raises(ValueError):
-        residue_units(A, (1,))
+        ResidueRing(A, (1,)).units()
 
 
 def test_localized_ring(A):
     Af = LocalizedRing(A, (0, 1))
-    x = Af.make((0, 1), 2)          # T/T^2 normalizes to 1/T
+    x = Af.normalize((0, 1), 2)          # T/T^2 normalizes to 1/T
     assert x == ((1,), 1)
     assert Af.mul(x, Af.inv(x)) == Af.one()
-    assert not Af.is_unit(Af.make((1, 1), 0))      # 1+T is no unit
-    z = Af.make((0, 2), 3)                          # 2T/T^3
+    assert not Af.is_unit(Af.normalize((1, 1), 0))      # 1+T is no unit
+    z = Af.normalize((0, 2), 3)                          # 2T/T^3
     assert Af.mul(z, Af.inv(z)) == Af.one()
     rng = random.Random(9)
     for _ in range(1000):
@@ -134,7 +133,7 @@ def test_localized_shortcuts_equal_naive(q, f):
         num = A.rand(rng, rng.randrange(4))
         if rng.random() < 0.5:
             num = A.mul(num, rng.choice(primes))
-        return Af.make(num, rng.randrange(4))
+        return Af.normalize(num, rng.randrange(4))
 
     for _ in range(500):
         (na, ka), (nb, kb) = a, b = elem(), elem()
@@ -366,7 +365,7 @@ def test_localized_mul_qpow_equal_normalized_naive(fname):
         num = A.rand(rng, rng.randrange(4))
         for _ in range(rng.randrange(3)):
             num = A.mul(num, rng.choice(primes))
-        return Af.make(num, rng.randrange(4))
+        return Af.normalize(num, rng.randrange(4))
 
     for _ in range(300):
         (na, ka), (nb, kb) = a, b = elem(), elem()

@@ -190,12 +190,22 @@ def test_triple_extract_pins(triple9):
     # torsion is charted and keyed shows here
     _, triple, _ = triple9
     assert (triple.mu1.low, triple.mu1.coeffs, triple.mu1.prec) == \
-        (0, (1,), None)
+        (0, (1,), 23)
     assert (triple.ell.low, triple.ell.coeffs, triple.ell.prec) == \
         (-3, (2, 0, 1), 1)
     assert triple.report == {"k": 0, "reduction_rank": 1,
                              "approx_achieved": 10, "tau_degree": 2,
                              "ell_valuation": -3}
+
+
+def test_additive_roots_seed_precision(spec9, triple9):
+    # a seed that is already a root to precision is known to
+    # prec(sp(z)) - v(c_0) like every lifted root; only 0 stays exact
+    _, _, approx = triple9
+    for sp, count in ((spec9.phi.image((0, 1)), 9),
+                      (approx.psi.image((0, 1)), 3)):
+        roots = additive_roots(sp, expected=count)
+        assert all(r.prec is not None for r in roots if not r.is_zero())
 
 
 def test_triple_sigma_invariance(spec9, triple9):

@@ -49,8 +49,8 @@ def test_lattice_exp_coefficients(setup):
     Af = L.ring.Af
     s1 = e.coeff(1)
     # s_1 = -1/ell^2 = 2 T^-2 x^6 + T^-2 x^8 mod x^9
-    assert s1.coeff(6) == L.ring.from_af(Af.make((2,), 2))
-    assert s1.coeff(8) == L.ring.from_af(Af.make((1,), 2))
+    assert s1.coeff(6) == L.ring.from_af(Af.normalize((2,), 2))
+    assert s1.coeff(8) == L.ring.from_af(Af.normalize((1,), 2))
     for k in (0, 1, 2, 3, 4, 5, 7):
         assert s1.coeff(k) == L.ring.zero()
     # e mod x is the identity additive series
@@ -123,7 +123,7 @@ def test_j_expansion(setup):
     T = A.gen()
     k, alpha = j_expansion(te, T)
     assert k == 6
-    assert alpha.coeff(0) == L.ring.from_af(L.ring.Af.make((1,), 3))
+    assert alpha.coeff(0) == L.ring.from_af(L.ring.Af.normalize((1,), 3))
     # both T and T^2 give positive k
     k2, _ = j_expansion(te, A.mul(T, T))
     assert k2 > 0
@@ -354,9 +354,8 @@ def test_specialization_point_and_map(setup):
 
 
 def test_tate_level_function(setup):
-    from dforge.tate import tate_level
     L, te = setup
-    lv = tate_level(te)
+    lv = te.level(validate=True)
     assert lv.images == (te.lam10, te.lam01)
 
 

@@ -163,11 +163,10 @@ def test_weil_map_sl2_fixes_mu(pairing_T):
 
 
 def test_weil_map_returns_valid_rank1_pair(pairing_T, A):
-    from dforge.drinfeld import level_make
     tor, lvl, ctx = pairing_T
     psi, mu1, _ = weil_map(tor.phi_ext, lvl, ctx=ctx)
     psi_lift = ctx.psi
-    lv1 = level_make(psi_lift, A.gen(), (mu1,))
+    lv1 = LevelStructure(psi_lift, A.gen(), (mu1,))
     assert lv1.images == (mu1,)
 
 
