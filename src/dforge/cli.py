@@ -17,16 +17,8 @@ import functools
 import json
 import sys
 
-from .fields import field_make
-from .poly import PolyRing, trim
-from .series import LaurentDomain, PrecisionError
-from .drinfeld import DrinfeldModule, rank1_universal, CharacteristicError
-from .cusps import census
-from .tate import tate_lattice, tate_module, j_expansion
-from .reduction import (stable_normalize, drinfeld_approx, lattice_recover,
-                        NonIntegralSlope, NoLattice)
-from . import serialize
-from . import selftest
+# Each command imports the modules it runs inside its body, so a start-up
+# compiles and loads only this file and what that one command needs.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,6 +47,7 @@ def _parse_q(qstr):
 
 
 def _parse_f(fstr, q):
+    from .poly import trim
     try:
         coeffs = tuple(int(c) for c in fstr.split(","))
     except ValueError:
@@ -68,6 +61,9 @@ def _parse_f(fstr, q):
 
 
 def cmd_census(args, out):
+    from .fields import field_make
+    from .cusps import census
+    from . import serialize
     p, e = _parse_q(args.q)
     K = field_make(p, e, 1)
     f = _parse_f(args.f, K.size)
@@ -77,6 +73,12 @@ def cmd_census(args, out):
 
 
 def cmd_tate(args, out):
+    from .fields import field_make
+    from .poly import PolyRing
+    from .series import PrecisionError
+    from .drinfeld import rank1_universal
+    from .tate import tate_lattice, tate_module, j_expansion
+    from . import serialize
     p, e = _parse_q(args.q)
     K = field_make(p, e, 1)
     f = _parse_f(args.f, K.size)
@@ -96,6 +98,12 @@ def cmd_tate(args, out):
 
 
 def cmd_reduce(args, out):
+    from .fields import field_make
+    from .poly import PolyRing
+    from .series import LaurentDomain, PrecisionError
+    from .drinfeld import DrinfeldModule
+    from .reduction import stable_normalize, drinfeld_approx, lattice_recover
+    from . import serialize
     with open(args.input) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -145,6 +153,7 @@ def cmd_reduce(args, out):
 
 
 def cmd_selftest(args, out):
+    from . import selftest
     failures = selftest.run_all(seed=args.seed, out=out)
     return EXIT_OK if failures == 0 else 1
 
@@ -191,6 +200,22 @@ def _parser():
     return build_parser()
 
 
+def _math_errors():
+    """The exception classes main maps to EXIT_MATH.  main names them
+    in an except clause, which evaluates this only once an exception
+    reaches it, so a start-up imports none of their modules."""
+    from .drinfeld import CharacteristicError
+    from .reduction import NonIntegralSlope, NoLattice
+    return NonIntegralSlope, NoLattice, CharacteristicError
+
+
+def _precision_error():
+    """The exception class main maps to EXIT_PRECISION (imported as in
+    _math_errors)."""
+    from .series import PrecisionError
+    return PrecisionError
+
+
 def main(argv=None, out=None):
     out = out or sys.stdout
     ap = _parser()
@@ -200,10 +225,10 @@ def main(argv=None, out=None):
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.fn(args, out)
-    except (NonIntegralSlope, NoLattice, CharacteristicError) as exc:
+    except _math_errors() as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_MATH
-    except PrecisionError as exc:
+    except _precision_error() as exc:
         sys.stderr.write("precision error: %s\n" % exc)
         return EXIT_PRECISION
     except (ConfigError, ValueError, OSError) as exc:

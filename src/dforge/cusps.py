@@ -22,7 +22,9 @@ import os
 
 from .poly import PolyRing, ResidueRing, trim
 
-ENUM_BOUND_DEFAULT = 81
+# the enumeration is a list of about Q^4 matrices: Q = 32 takes some 12 s and
+# 160 MB, and the next prime power, 49, does not finish
+ENUM_BOUND_DEFAULT = 32
 
 
 def _enum_bound():

@@ -15,7 +15,6 @@ parse(serialize(x)) == x bit-exactly for every emitted document.
 import json
 
 from .poly import trim
-from .series import Series
 
 
 def ser_int(n):
@@ -73,6 +72,8 @@ def ser_series(s, coeff_ser):
 
 
 def parse_series(doc, dom, coeff_parse):
+    # imported here so that census, which parses no series, never loads it
+    from .series import Series
     if not isinstance(doc, dict):
         raise ValueError("a series must be a JSON object")
     missing = [k for k in ("low", "prec", "coeffs") if k not in doc]

@@ -5,6 +5,7 @@ exact-at-stated-precision throughout; nothing is calibrated later.
 
 import io
 import itertools
+import json
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from dforge.tate import (tate_lattice, tate_module, j_expansion,
                          specialize, series_canon)
 from dforge.reduction import (stable_normalize, drinfeld_approx,
                               lattice_recover, triple_extract)
+from dforge import cli
 from dforge import selftest
 
 
@@ -260,6 +262,33 @@ def test_criterion_6_cusp_degeneration(tate_T):
     assert k2 == 6
     _report("6", "x=0 fiber = psi, Delta = 0 mod x, v_x(1/j_T) = %d "
                  "reproduced deterministically" % k)
+
+
+# the (q, f) cells of the benchmark's tate pool: f = T and T + 1 for
+# q = 2..5, and the degree-2 cells
+TATE_POOL_CELLS = [(q, f) for q in (2, 3, 4, 5) for f in ("0,1", "1,1")] \
+    + [(2, "0,1,1"), (3, "0,0,1"), (3, "0,1,1"), (3, "2,0,1")]
+
+
+def test_criterion_6_cusp_order_of_jinv():
+    # v_x(1/j) = (q-1) q^deg f on every cell, read off the CLI document at
+    # the least N the CLI accepts and at N = k; where N >= k, Delta is
+    # visible with the same x-order, and below that it is zero to precision
+    for q, f in TATE_POOL_CELLS:
+        d = f.count(",")
+        k = (q - 1) * q ** d
+        for N in sorted({q ** d, k}):
+            out = io.StringIO()
+            argv = ["tate", "--q", str(q), "--f", f, "--N", str(N)]
+            assert cli.main(argv, out=out) == 0, argv
+            doc = json.loads(out.getvalue())
+            assert doc["jinv"]["k"] == str(k), argv
+            if N >= k:
+                assert doc["Delta"]["low"] == str(k), argv
+            else:
+                assert doc["Delta"]["coeffs"] == [], argv
+    _report("6", "v_x(1/j) = (q-1) q^deg f on %d (q, f) cells, and "
+                 "v_x(Delta) = k where N >= k" % len(TATE_POOL_CELLS))
 
 
 # -- 7. reduction round trip ------------------------------------------------

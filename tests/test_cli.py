@@ -7,6 +7,7 @@ import os
 import pytest
 
 from dforge import cli
+from dforge import cusps
 from dforge import serialize
 from dforge.fields import field_make
 from dforge.poly import LocalizedRing, PolyRing
@@ -35,6 +36,22 @@ def test_census_T2():
     doc = json.loads(out)
     assert doc["cusp_count"] == "36"
     assert doc["component_count"] == "3"
+
+
+def test_census_above_enumeration_bound_is_formula_only(monkeypatch):
+    # Q = 49: above the default bound, so the closed formulas answer at
+    # once instead of enumerating some 49^4 matrices
+    monkeypatch.delenv("DFORGE_MAX_GL2Q", raising=False)
+    code, out = run_cli("census", "--q", "7", "--f", "0,0,1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mode"] == "formula-only"
+    assert doc["x0_cusp_count"] is None
+    assert doc["cusp_count"] == doc["geometric_cusps"] == "392"
+    # the environment still sets the bound
+    monkeypatch.setenv("DFORGE_MAX_GL2Q", "2")
+    code, out = run_cli("census", "--q", "3", "--f", "0,1")
+    assert code == 0 and json.loads(out)["mode"] == "formula-only"
 
 
 def test_census_malformed_f():
@@ -262,7 +279,8 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     def failing(*args, **kwargs):
         raise AssertionError("invariant broken")
 
-    monkeypatch.setattr(cli, "census", failing)
+    # cmd_census imports census from its module when it runs
+    monkeypatch.setattr(cusps, "census", failing)
     code, out = run_cli("census", "--q", "3", "--f", "0,1")
     assert code == cli.EXIT_INTERNAL == 5 and out == ""
     assert capsys.readouterr().err == "internal error: invariant broken\n"
