@@ -172,23 +172,19 @@ def build_parser():
                    help="level f, little-endian indices, e.g. 0,1 for T")
     c.add_argument("--h", type=int, default=1,
                    help="class number factor (default 1 for F_q[T])")
-    c.set_defaults(fn=cmd_census)
 
     t = sub.add_parser("tate", help="Tate-Drinfeld expansion")
     t.add_argument("--q", required=True)
     t.add_argument("--f", required=True)
     t.add_argument("--N", type=int, required=True,
                    help="x-adic precision (need N >= q^deg f)")
-    t.set_defaults(fn=cmd_tate)
 
     r = sub.add_parser("reduce", help="stable reduction of a module "
                                       "over F_{q^m}((x))")
     r.add_argument("input", help="JSON module file")
-    r.set_defaults(fn=cmd_reduce)
 
     s = sub.add_parser("selftest", help="run the property suites")
     s.add_argument("--seed", type=int, default=20260809)
-    s.set_defaults(fn=cmd_selftest)
     return ap
 
 
@@ -224,7 +220,9 @@ def main(argv=None, out=None):
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        return args.fn(args, out)
+        # looked up by name at call time, not bound when the parser was
+        # built, so a replaced cmd_* (a tracer's wrapper) is the one run
+        return globals()["cmd_" + args.cmd](args, out)
     except _math_errors() as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_MATH

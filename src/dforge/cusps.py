@@ -208,23 +208,24 @@ def double_cosets(R, group, left, right):
 # -- closed-form orders ---------------------------------------------------
 
 
-def unit_count(A, f):
-    """#(A/fA)^* by the product formula over prime divisors."""
+def unit_count(A, factors):
+    """#(A/fA)^* from the factorisation ``A.factor(f)``: multiplicative
+    over prime powers, #(A/p^k)^* = Q_p^k - Q_p^(k-1) with
+    Q_p = q^(deg p)."""
     q = A.K.size
-    Q = q ** A.deg(f)
-    out = Q
-    for p, _ in A.factor(f):
-        dp = A.deg(p)
-        out = out * (q ** dp - 1) // (q ** dp)
+    out = 1
+    for p, k in factors:
+        Qp = q ** A.deg(p)
+        out *= (Qp - 1) * Qp ** (k - 1)
     return out
 
 
-def gl2_order(A, f):
-    """#GL_2(A/fA): multiplicative over prime powers,
-    #GL_2(A/p^k) = #GL_2(F_(q^d)) * q^(4 d (k-1))."""
+def gl2_order(A, factors):
+    """#GL_2(A/fA) from the factorisation ``A.factor(f)``: multiplicative
+    over prime powers, #GL_2(A/p^k) = #GL_2(F_(q^d)) * q^(4 d (k-1))."""
     q = A.K.size
     out = 1
-    for p, k in A.factor(f):
+    for p, k in factors:
         Qp = q ** A.deg(p)
         out *= (Qp ** 2 - 1) * (Qp ** 2 - Qp) * Qp ** (4 * (k - 1))
     return out
@@ -246,8 +247,9 @@ def census(K, f, h=1, enumerate_groups=None):
     R = ResidueRing(A, f)
     q = K.size
     Q = R.size
-    U = unit_count(A, f)
-    nGL = gl2_order(A, f)
+    factors = A.factor(f)
+    U = unit_count(A, factors)
+    nGL = gl2_order(A, factors)
     nSL = nGL // U
     nN = (q - 1) * Q * U
     nH = U * U * Q

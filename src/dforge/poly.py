@@ -129,9 +129,12 @@ class PolyRing(Ring):
             a = self._trim(out)
         return a
 
-    def divmod(self, a, b):
-        """(quotient, remainder) of a by b in one pass from the top
-        quotient coefficient down; a may be untrimmed or shorter than b."""
+    def _divide(self, a, b):
+        """Long division of a by b in one list, from the top quotient
+        coefficient down: returns r with the remainder in r[:deg b] and
+        the quotient in r[deg b:], each coefficient of the quotient
+        written over the one it eliminates.  a may be untrimmed or
+        shorter than b."""
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
         K = self.K
@@ -142,17 +145,22 @@ class PolyRing(Ring):
         # the divisor's non-zero low coefficients, negated once
         low = [(j, K.neg(c)) for j, c in enumerate(b[:m]) if c != z]
         r = list(a)
-        q = [z] * max(0, len(r) - m)
         for k in range(len(r) - m - 1, -1, -1):
             c = r[k + m]
             if c == z:
                 continue
             if inv_lead is not None:
                 c = mul(c, inv_lead)
-            q[k] = c
+                r[k + m] = c
             for j, nb in low:
                 r[k + j] = add(r[k + j], mul(c, nb))
-        return self._trim(q), self._trim(r[:m])
+        return r
+
+    def divmod(self, a, b):
+        """(quotient, remainder) of a by b."""
+        r = self._divide(a, b)
+        m = len(b) - 1
+        return self._trim(r[m:]), self._trim(r[:m])
 
     def divexact(self, a, b):
         q, r = self.divmod(a, b)
@@ -161,10 +169,8 @@ class PolyRing(Ring):
         return q
 
     def mod(self, a, b):
-        return self.divmod(a, b)[1]
-
-    def divides(self, b, a):
-        return self.divmod(a, b)[1] == ()
+        """The remainder of a by b; the quotient is never read."""
+        return self._trim(self._divide(a, b)[:len(b) - 1])
 
     def monic(self, a):
         if not a:
@@ -251,8 +257,11 @@ class PolyRing(Ring):
         while self.deg(f) >= 1 and 2 * d <= self.deg(f):
             for g in self.monic_polys(d):
                 mult = 0
-                while self.divides(g, f):
-                    f = self.divexact(f, g)
+                while True:
+                    quo, rem = self.divmod(f, g)
+                    if rem:
+                        break
+                    f = quo
                     mult += 1
                 if mult:
                     out.append((g, mult))

@@ -286,6 +286,23 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: invariant broken\n"
 
 
+def test_command_replaced_after_parser_built_is_run(monkeypatch):
+    # a tracer replaces cli.cmd_census after the process has parsed
+    # once; main must dispatch to the replacement, not to the function
+    # the parser saw when it was built
+    assert run_cli("census", "--q", "3", "--f", "0,1")[0] == 0
+    seen = []
+
+    def replacement(args, out):
+        seen.append((args.q, args.f))
+        out.write("replaced\n")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_census", replacement)
+    assert run_cli("census", "--q", "3", "--f", "0,1") == (0, "replaced\n")
+    assert seen == [("3", "0,1")]
+
+
 def test_reduce_precision_collapse_has_no_traceback(tmp_path, capsys):
     # the q = 5, f = T specialisation over F_25 at N = 20: the lattice
     # generator comes back zero to precision, a precision error (exit 3)

@@ -31,8 +31,8 @@ def test_gl2_orders(A, F3, R_T, G_T):
     assert len(G_T) == 48
     T = A.gen()
     R2 = ResidueRing(A, A.mul(T, T))
-    assert len(gl2_enum(R2)) == 3888 == gl2_order(A, A.mul(T, T))
-    assert gl2_order(A, (1, 0, 1)) == (81 - 1) * (81 - 9)
+    assert len(gl2_enum(R2)) == 3888 == gl2_order(A, A.factor(A.mul(T, T)))
+    assert gl2_order(A, A.factor((1, 0, 1))) == (81 - 1) * (81 - 9)
     M = MatrixRing(R_T)
     assert M.identity() in G_T
 
@@ -203,4 +203,20 @@ def test_enum_bound(A):
 def test_unit_count_formula(A):
     T = A.gen()
     for f in (T, A.mul(T, T), (1, 0, 1), (2, 1, 1)):
-        assert unit_count(A, f) == len(ResidueRing(A, f).units())
+        assert unit_count(A, A.factor(f)) == len(ResidueRing(A, f).units())
+
+
+@pytest.mark.parametrize("f,mode", [((1, 0, 1), "enumeration"),
+                                    ((1, 0, 0, 0, 0, 1), "formula-only")],
+                         ids=["enumerated", "formula-only"])
+def test_census_factors_f_once(monkeypatch, F3, f, mode):
+    calls = []
+    factor = PolyRing.factor
+
+    def counting(self, g):
+        calls.append(g)
+        return factor(self, g)
+
+    monkeypatch.setattr(PolyRing, "factor", counting)
+    assert census(F3, f)["mode"] == mode
+    assert calls == [f]

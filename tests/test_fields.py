@@ -3,8 +3,8 @@ import random
 import pytest
 
 from dforge.fields import (field_make, least_irreducible, ExtField,
-                           PrimeField, DEFAULT_MAX_Q)
-from dforge.poly import PolyRing
+                           PrimeField, DEFAULT_MAX_Q, _prime_divisors)
+from dforge.poly import PolyRing, ResidueRing
 
 
 def test_f9_structure():
@@ -76,30 +76,46 @@ def test_supplied_modulus_of_wrong_shape_rejected():
     assert ExtField(F3, 2, modulus=(1, 0, 1)).modulus == (1, 0, 1)
 
 
-def _extension_triples():
+def _extension_triples(bound=DEFAULT_MAX_Q):
     """(p, e, m) with e * m > 1 for every extension field of at most
-    DEFAULT_MAX_Q elements."""
-    for p in range(2, int(DEFAULT_MAX_Q ** 0.5) + 1):
+    ``bound`` elements."""
+    for p in range(2, int(bound ** 0.5) + 1):
         if any(p % d == 0 for d in range(2, p)):
             continue
         for e in range(1, 16):
             for m in range(1, 16):
-                if e * m > 1 and p ** (e * m) <= DEFAULT_MAX_Q:
+                if e * m > 1 and p ** (e * m) <= bound:
                     yield p, e, m
+
+
+def _rabin_irreducible(A, m):
+    """Rabin's test for a monic m over A.K: z^(B^d) = z mod m, and
+    z^(B^(d/l)) - z is a unit mod m for every prime l dividing
+    d = deg m, where B = |A.K|."""
+    d = len(m) - 1
+    R = ResidueRing(A, m)
+    B = A.K.size
+    z = R.reduce(A.gen())
+    if R.sub(R.pow(z, B ** d), z) != R.zero():
+        return False
+    return all(R.is_unit(R.sub(R.pow(z, B ** (d // ell)), z))
+               for ell in _prime_divisors(d))
+
+
+def _rabin_least_irreducible(K, d):
+    A = PolyRing(K)
+    return next(m for m in A.monic_polys(d) if _rabin_irreducible(A, m))
 
 
 def test_moduli_are_least_irreducibles_by_factoring():
     """Every extension up to DEFAULT_MAX_Q elements is built on the first
     ``monic_polys`` candidate that trial-division factoring calls
-    irreducible, so the Rabin test picks the same modulus."""
+    irreducible, the one Rabin's test picks."""
     count = 0
     for p, e, m in _extension_triples():
         F = field_make(p, e, m)
-        A = PolyRing(F.base)
-        want = next(g for g in A.monic_polys(F.degree)
-                    if A.factor(g) == [(g, 1)])
-        assert F.modulus == want == least_irreducible(F.base, F.degree), \
-            (p, e, m)
+        assert F.modulus == _rabin_least_irreducible(F.base, F.degree) \
+            == least_irreducible(F.base, F.degree), (p, e, m)
         count += 1
     assert count == 212
 
@@ -181,7 +197,44 @@ def test_field_seeded(p, e, m):
     _check_against_oracle(F, pairs)
 
 
+def _tables_by_mul_raw(F):
+    """exp, log and Zech tables on the least primitive element, from
+    Q - 2 schoolbook products g^i = g^(i-1) * g."""
+    n = F.size - 1
+    g = next(g for g in range(2, F.size)
+             if all(_pow_oracle(F, g, n // ell) != 1
+                    for ell in _prime_divisors(n)))
+    exp = [1] * (2 * n)
+    for i in range(1, n):
+        exp[i] = F._mul_raw(exp[i - 1], g)
+    exp[n:] = exp[:n]
+    log = [None] * F.size
+    for i in range(n):
+        log[exp[i]] = i
+    zech = None if F.char == 2 else [log[_add_oracle(F, x, 1)]
+                                     for x in exp[:n]]
+    return exp, log, zech
+
+
+TABLE_FIELDS = list(_extension_triples(1024))
+
+
+@pytest.mark.parametrize("p,e,m", TABLE_FIELDS,
+                         ids=["F%d-q%d" % (p ** (e * m), p ** e)
+                              for p, e, m in TABLE_FIELDS])
+def test_tables_and_modulus_match_oracle(p, e, m):
+    """Every table field field_make builds, towers included: the walk
+    over coefficient vectors gives the tables of the schoolbook walk, and
+    the modulus is the one Rabin's test picks."""
+    F = field_make(p, e, m)
+    assert F.modulus == _rabin_least_irreducible(F.base, F.degree)
+    assert (F._exp, F._log, F._zech) == _tables_by_mul_raw(F)
+
+
 def test_table_build_is_linear(monkeypatch):
+    """The walk makes no schoolbook product; the primitive-element search
+    makes O(log Q) per candidate and prime of Q - 1, well under Q / 4.  A
+    walk by ``_mul_raw`` makes Q - 2 more."""
     calls = [0]
     raw = ExtField._mul_raw
 
@@ -190,9 +243,11 @@ def test_table_build_is_linear(monkeypatch):
         return raw(self, a, b)
 
     monkeypatch.setattr(ExtField, "_mul_raw", counting)
-    F = field_make(2, 1, 8)
-    assert F._log is not None
-    assert calls[0] < 4 * F.size
+    for p, e, m in [(2, 1, 8), (3, 1, 6), (2, 1, 10)]:
+        calls[0] = 0
+        F = field_make(p, e, m)
+        assert F._log is not None
+        assert calls[0] < F.size // 4, F
 
 
 def test_frobenius_is_identity_on_fq():
